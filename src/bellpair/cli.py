@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .bell import BellReport, horodecki_max
+from .bell import BELL_LIMIT, BellReport, horodecki_max
 from .dataset import (
     DATASET_VERSION,
     FLAG_THRESHOLD,
@@ -34,6 +34,7 @@ from .protocol import (
     EmptyData,
     LengthMismatch,
     NonpositiveError,
+    NotFinite,
     chi_square,
     chsh_value,
     fit_gamma,
@@ -52,8 +53,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_STATE = 3
 EXIT_EMPTY = 4
-
-BELL_LIMIT = 2.0
 
 
 class CommandError(Exception):
@@ -111,7 +110,7 @@ def _manifest_comments(manifest: dict) -> list[str]:
 
 
 def _json_doc(manifest: dict, body: dict) -> str:
-    return json.dumps({"manifest": manifest, **body}, indent=2) + "\n"
+    return json.dumps({"manifest": manifest, **body}, indent=2, allow_nan=False) + "\n"
 
 
 def _vector(v) -> list[float]:
@@ -505,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotHermitian, TraceNotOne, NotPositive, NotPSD, GammaOutOfRange, BlochVectorTooLong) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_STATE
-    except (EmptyData, EmptyCounts, NonpositiveError, LengthMismatch) as exc:
+    except (EmptyData, EmptyCounts, NonpositiveError, NotFinite, LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     if args.out:

@@ -13,14 +13,18 @@ comment lines:
 
 * data files: ``phi1, phi1p, phi2, phi2p, r_exp, dr_exp`` per row;
 * counts files: ``phi1, phi2, n_pp, n_pm, n_mp, n_mm`` per row, emitted by
-  the simulator with a ``# format: counts`` marker and grouped back into
-  CHSH settings four consecutive rows at a time;
+  the simulator with a ``# format: counts`` marker and angles in ``repr``
+  form (so they read back exactly), and grouped back into CHSH settings
+  four consecutive rows at a time;
 * settings files: either ``phi1, phi2`` pairs or full four-angle rows
   ``phi1, phi1p, phi2, phi2p`` which expand to their four pairs.
+
+Every number in these formats must be finite.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -108,9 +112,12 @@ def _floats(fields: list[str], n: int, lineno: str) -> list[float]:
     if len(fields) != n:
         raise FileFormatError(f"line {lineno}: expected {n} fields, got {len(fields)}")
     try:
-        return [float(f) for f in fields]
+        values = [float(f) for f in fields]
     except ValueError as exc:
         raise FileFormatError(f"line {lineno}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise FileFormatError(f"line {lineno}: values must be finite")
+    return values
 
 
 def load_data(path: str | Path) -> list[ChshDatum]:
@@ -167,22 +174,13 @@ def _parse_counts(text: str) -> list[CountTable]:
     return tables
 
 
-def load_counts(path: str | Path) -> list[CountTable]:
-    """Read a counts file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read counts file {path}: {exc}") from None
-    return _parse_counts(text)
-
-
 def counts_text(tables: Sequence[CountTable], header_lines: Sequence[str] = ()) -> str:
     """Render count tables in the counts file format (with format marker)."""
     lines = [COUNTS_MARKER]
     lines += [f"# {line}" for line in header_lines]
     lines.append("# phi1, phi2, n_pp, n_pm, n_mp, n_mm")
     for t in tables:
-        lines.append(f"{_num(t.phi1)}, {_num(t.phi2)}, {t.n_pp}, {t.n_pm}, {t.n_mp}, {t.n_mm}")
+        lines.append(f"{float(t.phi1)!r}, {float(t.phi2)!r}, {t.n_pp}, {t.n_pm}, {t.n_mp}, {t.n_mm}")
     return "\n".join(lines) + "\n"
 
 
@@ -205,7 +203,3 @@ def load_settings(path: str | Path) -> list[tuple[float, float]]:
                 f"line {lineno}: settings rows need 2 (pair) or 4 (CHSH) angles, got {len(fields)}"
             )
     return pairs
-
-
-def _num(x: float) -> str:
-    return format(x, "g")

@@ -43,6 +43,10 @@ class EmptyData(ValueError):
     """Fit requested on an empty dataset."""
 
 
+class NotFinite(ValueError):
+    """A fit quantity that leaves the floating-point range."""
+
+
 @dataclass(frozen=True)
 class AngleSettings:
     """Analyzer angles (degrees) in the order of the four-angle combination."""
@@ -98,6 +102,9 @@ class ChshDatum:
     dr_exp: float
 
     def __post_init__(self) -> None:
+        for name in ("r_exp", "dr_exp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.dr_exp > 0.0):
             raise NonpositiveError(f"dr_exp must be positive, got {self.dr_exp}")
 
@@ -194,6 +201,8 @@ def chi_square(data: Sequence[ChshDatum], predictions: Sequence[float]) -> float
             raise NonpositiveError(f"dr_exp must be positive, got {datum.dr_exp}")
         res = (pred - datum.r_exp) / datum.dr_exp
         total += res * res
+    if not math.isfinite(total):
+        raise NotFinite("chi-square overflows: residuals too large for their errors")
     return total
 
 
@@ -206,15 +215,19 @@ def fit_gamma(data: Sequence[ChshDatum]) -> FitResult:
 
         gamma* = sum(S_i R_i / dr_i^2) / sum(S_i^2 / dr_i^2)
 
-    clamped to [0, 1].
+    clamped to [0, 1].  Errors whose square leaves the floating-point
+    range, and chi-squares that overflow, raise :class:`NotFinite`.
     """
     data = list(data)
     if not data:
         raise EmptyData("cannot fit an empty dataset")
     pure = singlet()
     s_vals = [chsh_value(pure, d.settings) for d in data]
-    num = sum(s * d.r_exp / d.dr_exp**2 for s, d in zip(s_vals, data))
-    den = sum(s * s / d.dr_exp**2 for s, d in zip(s_vals, data))
+    try:
+        num = sum(s * d.r_exp / d.dr_exp**2 for s, d in zip(s_vals, data))
+        den = sum(s * s / d.dr_exp**2 for s, d in zip(s_vals, data))
+    except (ZeroDivisionError, OverflowError):
+        raise NotFinite("dr_exp**2 underflows or overflows; rescale the data") from None
     gamma_hat = 0.0 if den == 0.0 else min(max(num / den, 0.0), 1.0)
     residuals = tuple((d.r_exp - gamma_hat * s) / d.dr_exp for s, d in zip(s_vals, data))
     return FitResult(

@@ -5,11 +5,20 @@ correlation matrix D, the joint +-1 outcome probabilities are
 
     p(s, t) = (1 + s a.A + t b.P + s t a.(D b)) / 4 .
 
-Counts are multinomial draws from that law.  Sampling is reproducible
-bit-for-bit: each setting gets its own Philox counter-based stream (128-bit
-key = seed << 64 | setting index), 53-bit integers are drawn and binned by
-inverse CDF against integer thresholds in the fixed outcome order
-(++, +-, -+, --), so results do not depend on evaluation order or platform.
+Counts are multinomial draws from that law, reproducible bit-for-bit under
+this stream contract:
+
+* each setting gets its own Philox counter-based stream with the 128-bit
+  key ``seed << 64 | setting index``, so a setting's counts do not depend
+  on which settings come before or after it;
+* each event is the top 53 bits of one raw 64-bit Philox word;
+* the three cumulative probabilities of the outcomes in the fixed order
+  (++, +-, -+, --) are rounded to integer edges on [0, 2^53], the draws
+  below each edge are counted, and an outcome's count is the difference
+  of consecutive totals (a zero-probability outcome has a zero-width bin
+  and is never drawn);
+* draws are made in fixed chunks of ``CHUNK`` words, which bounds memory
+  at any event count and gives the same words as a single draw.
 """
 from __future__ import annotations
 
@@ -17,10 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import CountTable, angle_to_direction
-from .states import DensityMatrix, decompose
+from .states import DensityMatrix, PauliDecomposition, decompose
 
 _BITS = 53
 _SCALE = float(1 << _BITS)
+_SHIFT = np.uint64(64 - _BITS)
+CHUNK = 1 << 16  # raw words drawn at a time
 
 
 @dataclass(frozen=True)
@@ -42,7 +53,10 @@ class SimConfig:
 
 def joint_probabilities(rho: DensityMatrix, phi1: float, phi2: float) -> np.ndarray:
     """Outcome probabilities (p++, p+-, p-+, p--) for one angle pair."""
-    pd = decompose(rho)
+    return _probabilities(decompose(rho), phi1, phi2)
+
+
+def _probabilities(pd: PauliDecomposition, phi1: float, phi2: float) -> np.ndarray:
     a = angle_to_direction(phi1)
     b = angle_to_direction(phi2)
     sa = float(a @ pd.A)
@@ -63,30 +77,23 @@ def _stream_key(seed: int, index: int) -> int:
     return (seed << 64) | index
 
 
-def _draw_counts(probs: np.ndarray, n: int, key: int) -> np.ndarray:
-    # integer thresholds partition [0, 2^53); a zero-probability outcome
-    # gets a zero-width bin and can never be drawn
+def _draw_counts(probs: np.ndarray, n: int, key: int) -> list[int]:
     edges = np.rint(np.cumsum(probs[:3]) * _SCALE).astype(np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    draws = gen.integers(0, 1 << _BITS, size=n, dtype=np.uint64)
-    outcomes = np.searchsorted(edges, draws, side="right")
-    return np.bincount(outcomes, minlength=4)
+    bitgen = np.random.Philox(key=key)
+    below = [0, 0, 0]
+    for start in range(0, n, CHUNK):
+        draws = bitgen.random_raw(min(CHUNK, n - start)) >> _SHIFT
+        for k, edge in enumerate(edges):
+            below[k] += int(np.count_nonzero(draws < edge))
+    return [below[0], below[1] - below[0], below[2] - below[1], n - below[2]]
 
 
 def simulate(cfg: SimConfig) -> list[CountTable]:
     """Coincidence counts per setting; identical config, identical counts."""
+    pd = decompose(cfg.state)
     out = []
     for index, (phi1, phi2) in enumerate(cfg.settings):
-        probs = joint_probabilities(cfg.state, phi1, phi2)
-        counts = _draw_counts(probs, cfg.events_per_setting, _stream_key(cfg.seed, index))
-        out.append(
-            CountTable(
-                phi1=phi1,
-                phi2=phi2,
-                n_pp=int(counts[0]),
-                n_pm=int(counts[1]),
-                n_mp=int(counts[2]),
-                n_mm=int(counts[3]),
-            )
-        )
+        probs = _probabilities(pd, phi1, phi2)
+        n_pp, n_pm, n_mp, n_mm = _draw_counts(probs, cfg.events_per_setting, _stream_key(cfg.seed, index))
+        out.append(CountTable(phi1=phi1, phi2=phi2, n_pp=n_pp, n_pm=n_pm, n_mp=n_mp, n_mm=n_mm))
     return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotHermitian, PSD_FLOOR, eig_hermitian
+from .linalg import HERMITIAN_TOL, NotHermitian, PSD_FLOOR, eig_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -20,7 +20,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
-HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 IMAG_TOL = 1e-10
 BLOCH_SLACK = 1e-9

@@ -3,7 +3,9 @@
 Each oracle deliberately avoids the code path it checks: the tangle oracle
 roots the quartic characteristic polynomial of the non-Hermitian spin-flip
 product instead of diagonalizing a Hermitian form, and the fit oracle does
-a brute-force grid search instead of using the closed-form minimizer.
+a brute-force grid search instead of using the closed-form minimizer, and
+the sampler oracle draws through ``Generator.integers`` in one piece and
+bins with ``searchsorted`` instead of counting chunks of raw Philox words.
 """
 import numpy as np
 
@@ -46,3 +48,17 @@ def gamma_grid_search(data, step: float = 1e-4) -> tuple[float, float]:
     chis = np.array([chi_square(data, [g * s for s in s_vals]) for g in gammas])
     k = int(np.argmin(chis))
     return float(gammas[k]), float(chis[k])
+
+
+def searchsorted_counts(probs: np.ndarray, n: int, key: int) -> list[int]:
+    """Outcome counts of n events on the Philox stream ``key``.
+
+    All n 53-bit integers come from one ``Generator.integers`` call and are
+    binned by inverse CDF against the integer edges of the cumulative
+    probabilities with ``searchsorted`` and ``bincount``.
+    """
+    edges = np.rint(np.cumsum(probs[:3]) * float(1 << 53)).astype(np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    draws = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
+    outcomes = np.searchsorted(edges, draws, side="right")
+    return [int(c) for c in np.bincount(outcomes, minlength=4)]

@@ -181,6 +181,23 @@ def test_fit_unparseable_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        ("50, 0, 25, 75, nan, 2.3", 2),  # non-finite r_exp is a parse error
+        ("50, 0, 25, 75, 0.67, inf", 2),  # ... and so is a non-finite dr_exp
+        ("50, 0, 25, 75, 0.67, 1e-200", 4),  # dr_exp**2 underflows
+        ("50, 0, 25, 75, 1e300, 1e-10", 4),  # chi-square overflows
+    ],
+)
+def test_fit_rows_outside_float_range(tmp_path, capsys, row, expected):
+    data = tmp_path / "data.txt"
+    data.write_text(row + "\n")
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, "fit", "--data", str(data), "--format", fmt)
+        assert code == expected and out == "" and err.startswith("error:")
+
+
 def test_simulate_deterministic_and_round_trip(tmp_path, capsys):
     state = state_file(tmp_path, {"kind": "werner", "gamma": 0.9})
     settings = tmp_path / "settings.txt"
@@ -201,6 +218,23 @@ def test_simulate_deterministic_and_round_trip(tmp_path, capsys):
     doc = json.loads(out)
     sigma_gamma = doc["residuals"][0]["dr_exp"] / doc["residuals"][0]["singlet_value"]
     assert abs(doc["gamma_hat"] - 0.9) <= 3 * sigma_gamma
+
+
+def test_simulate_fit_round_trip_keeps_angles_exact(tmp_path, capsys):
+    state = state_file(tmp_path, {"kind": "werner", "gamma": 0.9})
+    settings = tmp_path / "settings.txt"
+    settings.write_text("12.3456789, 0.1, 45, 135\n")
+    counts = tmp_path / "counts.txt"
+    code, _, _ = run(
+        capsys,
+        "simulate", "--state", state, "--settings", str(settings),
+        "--events", "1000", "--seed", "3", "--out", str(counts),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "fit", "--data", str(counts), "--format", "json")
+    assert code == 0
+    row = json.loads(out)["residuals"][0]
+    assert (row["phi1"], row["phi1p"], row["phi2"], row["phi2p"]) == (12.3456789, 0.1, 45.0, 135.0)
 
 
 def test_simulate_full_reference_settings_recovers_gamma(tmp_path, capsys):

@@ -8,10 +8,10 @@ from bellpair.fileio import (
     FileFormatError,
     counts_text,
     is_counts_text,
-    load_counts,
     load_data,
     load_settings,
     load_state,
+    _parse_counts,
 )
 from bellpair.protocol import CountTable
 from bellpair.states import NotPositive, TraceNotOne, singlet, unpolarized, werner
@@ -108,6 +108,16 @@ def test_load_data_nonpositive_error_is_parse_error(tmp_path):
         load_data(write(tmp_path, "d.txt", "50, 0, 25, 75, 0.67, 0.0\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_text_formats_reject_non_finite_values(tmp_path, value):
+    with pytest.raises(FileFormatError):
+        load_data(write(tmp_path, "d.txt", f"50, 0, 25, 75, {value}, 2.30\n"))
+    with pytest.raises(FileFormatError):
+        load_data(write(tmp_path, "c.txt", f"{COUNTS_MARKER}\n0, 0, {value}, 2, 3, 4\n"))
+    with pytest.raises(FileFormatError):
+        load_settings(write(tmp_path, "s.txt", f"{value}, 20\n"))
+
+
 def test_load_data_missing_file(tmp_path):
     with pytest.raises(FileFormatError):
         load_data(tmp_path / "absent.txt")
@@ -124,7 +134,7 @@ def test_counts_round_trip(tmp_path):
     assert text.startswith(COUNTS_MARKER)
     assert is_counts_text(text)
     path = write(tmp_path, "c.txt", text)
-    assert load_counts(path) == tables
+    assert _parse_counts(path.read_text()) == tables
     # the same file feeds the fitter directly, grouped four rows at a time
     data = load_data(path)
     assert len(data) == 1
@@ -132,6 +142,11 @@ def test_counts_round_trip(tmp_path):
     assert data[0].settings.phi1p == 0.0
     assert data[0].settings.phi2 == 45.0
     assert data[0].settings.phi2p == 135.0
+
+
+def test_counts_angles_round_trip_exactly(tmp_path):
+    tables = [CountTable(12.3456789, 1 / 3, 1, 2, 3, 4)]
+    assert _parse_counts(counts_text(tables)) == tables
 
 
 def test_counts_grouping_failure_is_parse_error(tmp_path):
@@ -143,8 +158,8 @@ def test_counts_grouping_failure_is_parse_error(tmp_path):
 
 def test_counts_reject_fractional_counts(tmp_path):
     path = write(tmp_path, "c.txt", COUNTS_MARKER + "\n0, 0, 1.5, 2, 3, 4\n")
-    with pytest.raises(FileFormatError):
-        load_counts(path)
+    with pytest.raises(FileFormatError, match="nonnegative integers"):
+        _parse_counts(path.read_text())
 
 
 def test_load_settings_pairs_and_quadruples(tmp_path):

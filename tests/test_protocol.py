@@ -20,6 +20,7 @@ from bellpair.protocol import (
     EmptyData,
     LengthMismatch,
     NonpositiveError,
+    NotFinite,
     angle_to_direction,
     chi_square,
     chsh_datum_from_counts,
@@ -195,6 +196,19 @@ def test_chi_square_length_mismatch():
 def test_datum_rejects_nonpositive_error():
     with pytest.raises(NonpositiveError):
         ChshDatum(settings=settings_row(0, 0, 0, 0), r_exp=1.0, dr_exp=0.0)
+
+
+@pytest.mark.parametrize("r_exp, dr_exp", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_datum_rejects_non_finite_values(r_exp, dr_exp):
+    with pytest.raises(ValueError):
+        ChshDatum(settings=settings_row(0, 0, 0, 0), r_exp=r_exp, dr_exp=dr_exp)
+
+
+@pytest.mark.parametrize("r_exp, dr_exp", [(0.67, 1e-200), (0.67, 1e200), (1e300, 1e-10)])
+def test_fit_out_of_float_range_raises_not_finite(r_exp, dr_exp):
+    datum = ChshDatum(settings=settings_row(50, 0, 25, 75), r_exp=r_exp, dr_exp=dr_exp)
+    with pytest.raises(NotFinite):
+        fit_gamma([datum])
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,13 +1,31 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpair.protocol import correlation, estimate_correlation
-from bellpair.simulate import SimConfig, joint_probabilities, simulate
-from bellpair.states import singlet, unpolarized, werner
+from bellpair.protocol import AngleSettings, correlation, estimate_correlation
+from bellpair.simulate import CHUNK, SimConfig, _draw_counts, _stream_key, joint_probabilities, simulate
+from bellpair.states import PauliDecomposition, compose, singlet, unpolarized, werner
+from oracles import searchsorted_counts
+
+# SHA-256 of "phi1!r,phi2!r,n_pp,n_pm,n_mp,n_mm\n" per simulated pair; the
+# same cases and digests pin the benchmark's output checks
+GOLDEN = [
+    (singlet, [(0.0, 45.0, 22.5, 67.5)], 1000, 0,
+     "b10181e9b9a9750bec9ab4942241a06b4a0b82f96c7e7daaa84cda0d0951b035"),
+    (lambda: werner(0.8), [(50.0, 0.0, 25.0, 75.0), (120.0, 0.0, 60.0, 180.0)], 100000, 0,
+     "d9fa51a0e1070c4cf3fc05194e0fadf872ed9bff941574861959b3d16d0240b4"),
+    (lambda: compose(PauliDecomposition(
+        A=np.array([0.3, 0.0, 0.4]),
+        P=np.array([0.0, 0.5, 0.0]),
+        D=np.array([[0.0, 0.15, 0.0], [0.0, 0.0, 0.0], [0.0, 0.2, 0.0]]))),
+     [(10.0, 100.0, 55.0, 145.0)], 12345, 2**64 - 1,
+     "7b1971be7ba90d458c0ac3d7207d748a71ae40a62c48a0f164fa6b336cac22e6"),
+]
 
 
 def test_joint_probabilities_singlet_aligned():
@@ -152,3 +170,42 @@ def test_setting_streams_are_order_independent():
     # stream 0 alone reproduces the first table regardless of what follows
     alone = simulate(SimConfig(state=rho, settings=(pair_a,), events_per_setting=5000, seed=31))
     assert both[0] == alone[0]
+
+
+@pytest.mark.parametrize("make_state, rows, events, seed, digest", GOLDEN)
+def test_counts_match_golden_digests(make_state, rows, events, seed, digest):
+    pairs = [pair for row in rows for pair in AngleSettings(*row).pairs()]
+    tables = simulate(SimConfig(state=make_state(), settings=pairs, events_per_setting=events, seed=seed))
+    canon = "".join(f"{t.phi1!r},{t.phi2!r},{t.n_pp},{t.n_pm},{t.n_mp},{t.n_mm}\n" for t in tables)
+    assert hashlib.sha256(canon.encode()).hexdigest() == digest
+
+
+def test_counts_match_searchsorted_oracle():
+    fixed = [
+        np.array([0.1, 0.4, 0.3, 0.2]),
+        joint_probabilities(werner(0.37), 12.5, 81.0),
+        joint_probabilities(singlet(), 42.0, 42.0),  # bins ++ and -- empty, last edge at 2^53
+        np.array([0.25, 0.0, 0.0, 0.75]),  # two zero-width middle bins
+        np.array([0.0, 0.0, 0.0, 1.0]),  # every edge at 0
+    ]
+    sizes = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+    for seed in [*range(19), 2**64 - 1]:
+        # all three edges on the stream's first draw tell "below" from "at or below"
+        first = np.random.Generator(np.random.Philox(key=_stream_key(seed, 0))).integers(
+            1 << 53, dtype=np.uint64)
+        on_draw = np.array([first / 2**53, 0.0, 0.0, 1.0 - first / 2**53])
+        for index, probs in enumerate([on_draw, *fixed]):
+            key = _stream_key(seed, index)
+            for n in sizes:
+                assert _draw_counts(probs, n, key) == searchsorted_counts(probs, n, key)
+
+
+def test_sampler_memory_is_bounded():
+    cfg = SimConfig(state=werner(0.5), settings=((10.0, 60.0),), events_per_setting=4_000_000, seed=5)
+    tracemalloc.start()
+    try:
+        assert simulate(cfg)[0].total == 4_000_000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
