@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian, eig_symmetric3, sqrt_psd
+from .linalg import Spectrum, eig_hermitian, eig_symmetric3, sqrt_spectrum
 from .states import DensityMatrix, SIGMA_Y, decompose, purity
 
 UNIT_TOL = 1e-10
@@ -88,11 +88,12 @@ def tangle(rho: DensityMatrix) -> float:
     Evaluated through the Hermitian form: the l_k are the square roots of
     the eigenvalues of sqrt(rho) Rt sqrt(rho) with
     Rt = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y), which shares its
-    spectrum with the non-Hermitian product rho Rt.
+    spectrum with the non-Hermitian product rho Rt.  sqrt(rho) comes from
+    the spectrum that :func:`states.validate` stored on the state.
     """
     m = rho.mat
     r_tilde = _YY @ m.conj() @ _YY
-    root = sqrt_psd(m)
+    root = sqrt_spectrum(rho.spectrum)
     prod = root @ r_tilde @ root
     prod = 0.5 * (prod + prod.conj().T)
     w = eig_hermitian(prod).eigenvalues
@@ -122,12 +123,12 @@ def optimal_directions(rho: DensityMatrix) -> AnalyzerDirections:
     degenerate spectra; the deterministic eigenvector ordering from the
     eigensolver picks one valid representative.
     """
-    return _optimal_from_correlation(decompose(rho).D)
+    d = decompose(rho).D
+    return _optimal_from_correlation(d, eig_symmetric3(d.T @ d))
 
 
-def _optimal_from_correlation(d: np.ndarray) -> AnalyzerDirections:
-    gram = d.T @ d
-    spec = eig_symmetric3(gram)
+def _optimal_from_correlation(d: np.ndarray, spec: Spectrum) -> AnalyzerDirections:
+    """Optimal settings from D and the spectrum of its Gram matrix D^T D."""
     c1 = spec.eigenvectors[:, 0]
     c2 = spec.eigenvectors[:, 1]
     dc1 = d @ c1
@@ -147,10 +148,11 @@ def _optimal_from_correlation(d: np.ndarray) -> AnalyzerDirections:
 def horodecki_max(rho: DensityMatrix) -> BellReport:
     """Full report: tangle, M, maximal violation 2 sqrt(M), purity, settings."""
     d = decompose(rho).D
-    gram_eigs = np.clip(eig_symmetric3(d.T @ d).eigenvalues, 0.0, None)
+    gram = eig_symmetric3(d.T @ d)
+    gram_eigs = np.clip(gram.eigenvalues, 0.0, None)
     m_val = float(gram_eigs[0] + gram_eigs[1])
     try:
-        optimal = _optimal_from_correlation(d)
+        optimal = _optimal_from_correlation(d, gram)
     except DegenerateD:
         optimal = None
     return BellReport(

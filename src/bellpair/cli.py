@@ -54,6 +54,9 @@ EXIT_PARSE = 2
 EXIT_STATE = 3
 EXIT_EMPTY = 4
 
+# Largest number of rows one ``sweep`` may produce: a step of 1e-4 over [0, 1].
+SWEEP_MAX_ROWS = 10_001
+
 
 class CommandError(Exception):
     def __init__(self, code: int, message: str):
@@ -183,9 +186,14 @@ def cmd_analyze(args: argparse.Namespace) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> str:
     gmin, gmax, step = args.min, args.max, args.step
+    if not all(map(math.isfinite, (gmin, gmax, step))):
+        raise CommandError(EXIT_PARSE, "sweep needs finite --min, --max and --step")
     if not (0.0 <= gmin <= gmax <= 1.0) or step <= 0.0:
         raise CommandError(EXIT_PARSE, "sweep needs 0 <= min <= max <= 1 and step > 0")
-    n = int(math.floor((gmax - gmin) / step + 1e-9))
+    intervals = (gmax - gmin) / step + 1e-9
+    if intervals >= SWEEP_MAX_ROWS:
+        raise CommandError(EXIT_PARSE, f"sweep step {step!r} gives more than {SWEEP_MAX_ROWS} rows")
+    n = int(math.floor(intervals))
     gammas = [min(gmin + k * step, gmax) for k in range(n + 1)]
     rows = []
     for g in gammas:

@@ -1,9 +1,12 @@
 """Dense eigensolvers for the fixed small matrices used everywhere else.
 
 Cyclic Jacobi diagonalization for complex Hermitian 4x4 and real symmetric
-3x3 matrices, plus the Hermitian PSD matrix square root.  numpy is used as
-the array container only; no LAPACK-backed routines are called, so results
-are reproducible down to the rotation sequence.
+3x3 matrices, plus the Hermitian PSD matrix square root.  No LAPACK-backed
+routine is called.  The rotations run on nested lists of Python
+``complex``, so each one is rounded the way CPython rounds scalar complex
+arithmetic and results do not depend on numpy's runtime SIMD dispatch.
+Against version 0.1.0, which rotated numpy array slices, results differ in
+the last bits.
 """
 from __future__ import annotations
 
@@ -54,19 +57,20 @@ def _check_finite(m: np.ndarray, exc: type[Exception]) -> None:
         raise exc("matrix entries must be finite")
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+def _offdiag_norm(a: list[list[complex]]) -> float:
+    return math.sqrt(sum(abs(x) ** 2 for i, row in enumerate(a)
+                         for j, x in enumerate(row) if i != j))
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p,q] (and a[q,p]) with one unitary plane rotation, in place."""
-    apq = a[p, q]
+def _rotate(a: list[list[complex]], v: list[list[complex]], p: int, q: int) -> None:
+    """Zero a[p][q] (and a[q][p]) with one unitary plane rotation, in place."""
+    ap, aq = a[p], a[q]
+    apq = ap[q]
     r = abs(apq)
     if r == 0.0:
         return
     phase = apq / r
-    delta = (a[q, q] - a[p, p]).real
+    delta = (aq[q] - ap[p]).real
     phi = delta / (2.0 * r)
     # smaller-magnitude root of t^2 - 2 phi t - 1 = 0
     if phi == 0.0:
@@ -74,35 +78,35 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     else:
         t = -math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
     c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c * np.conj(phase)
+    s = t * c * phase.conjugate()
+    s_conj = s.conjugate()
 
     # A <- J^dag A J with J the identity except
     # J[p,p]=J[q,q]=c, J[q,p]=s, J[p,q]=-conj(s).
-    col_p = c * a[:, p] + s * a[:, q]
-    col_q = -np.conj(s) * a[:, p] + c * a[:, q]
-    a[:, p] = col_p
-    a[:, q] = col_q
-    row_p = c * a[p, :] + np.conj(s) * a[q, :]
-    row_q = -s * a[p, :] + c * a[q, :]
-    a[p, :] = row_p
-    a[q, :] = row_q
+    for row in a:
+        x, y = row[p], row[q]
+        row[p] = c * x + s * y
+        row[q] = -s_conj * x + c * y
+    for k, (x, y) in enumerate(zip(ap, aq)):
+        ap[k] = c * x + s_conj * y
+        aq[k] = -s * x + c * y
     # the rotation annihilates the pivot exactly; clear rounding residue
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
+    ap[q] = aq[p] = 0j
+    ap[p] = complex(ap[p].real)
+    aq[q] = complex(aq[q].real)
 
-    vcol_p = c * v[:, p] + s * v[:, q]
-    vcol_q = -np.conj(s) * v[:, p] + c * v[:, q]
-    v[:, p] = vcol_p
-    v[:, q] = vcol_q
+    for row in v:
+        x, y = row[p], row[q]
+        row[p] = c * x + s * y
+        row[q] = -s_conj * x + c * y
 
 
 def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps until the off-diagonal Frobenius norm dies."""
+    """Cyclic Jacobi sweeps on a complex array until the off-diagonal
+    Frobenius norm dies; the rotations run on nested lists of ``complex``."""
     n = m.shape[0]
-    a = np.array(m, dtype=complex)
-    v = np.eye(n, dtype=complex)
+    a = m.tolist()
+    v = np.eye(n, dtype=complex).tolist()
     for _ in range(MAX_SWEEPS):
         if _offdiag_norm(a) <= OFFDIAG_TOL:
             break
@@ -114,7 +118,7 @@ def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise NoConvergence(
                 f"off-diagonal norm {_offdiag_norm(a):.3e} after {MAX_SWEEPS} sweeps"
             )
-    return np.diag(a).real.copy(), v
+    return np.array([a[k][k].real for k in range(n)]), np.array(v, dtype=complex)
 
 
 def _fix_phase(col: np.ndarray) -> np.ndarray:
@@ -185,7 +189,15 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-8, 0) are treated as rounding noise and clamped to
     zero; anything below -1e-8 raises NotPSD.
     """
-    spec = eig_hermitian(m)
+    return sqrt_spectrum(eig_hermitian(m))
+
+
+def sqrt_spectrum(spec: Spectrum) -> np.ndarray:
+    """Hermitian square root of the PSD matrix with spectrum ``spec``.
+
+    The step behind :func:`sqrt_psd`, for callers that already hold the
+    spectrum; the same clamping and NotPSD rule apply.
+    """
     w = spec.eigenvalues
     if np.min(w) < PSD_FLOOR:
         raise NotPSD(f"eigenvalue {np.min(w):.3e} below PSD floor {PSD_FLOOR}")

@@ -85,7 +85,8 @@ class CountTable:
     def __post_init__(self) -> None:
         for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
             value = getattr(self, name)
-            if value < 0 or value != int(value):
+            # ``not value >= 0`` also rejects nan; inf would overflow int()
+            if not value >= 0 or value == math.inf or value != int(value):
                 raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
     @property

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_TOL, NotHermitian, PSD_FLOOR, eig_hermitian
+from .linalg import HERMITIAN_TOL, NotHermitian, PSD_FLOOR, Spectrum, eig_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -19,6 +19,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
+
+# The 15 Kronecker products sigma_i (x) 1, 1 (x) sigma_i and
+# sigma_i (x) sigma_j, built once at import for decompose and compose.
+_KRON_A = tuple(np.kron(si, ID2) for si in PAULIS)
+_KRON_P = tuple(np.kron(ID2, si) for si in PAULIS)
+_KRON_D = tuple(tuple(np.kron(si, sj) for sj in PAULIS) for si in PAULIS)
 
 TRACE_TOL = 1e-10
 IMAG_TOL = 1e-10
@@ -43,12 +49,20 @@ class BlochVectorTooLong(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated two-qubit state. Build through :func:`validate`."""
+    """A validated two-qubit state. Build through :func:`validate`.
+
+    ``spectrum`` is the eigendecomposition of ``mat`` that :func:`validate`
+    computed for its positivity check; :func:`bell.tangle` takes the square
+    root of the state from it instead of diagonalizing ``mat`` again.
+    """
 
     mat: np.ndarray
+    spectrum: Spectrum
 
     def __post_init__(self) -> None:
         self.mat.setflags(write=False)
+        self.spectrum.eigenvalues.setflags(write=False)
+        self.spectrum.eigenvectors.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -79,10 +93,11 @@ def validate(mat: np.ndarray) -> DensityMatrix:
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr:.12g}, expected 1")
-    w = eig_hermitian(m).eigenvalues
+    spec = eig_hermitian(m)
+    w = spec.eigenvalues
     if np.min(w) < PSD_FLOOR:
         raise NotPositive(f"eigenvalue {np.min(w):.3e} below {PSD_FLOOR}")
-    return DensityMatrix(m.copy())
+    return DensityMatrix(m.copy(), spec)
 
 
 def decompose(rho: DensityMatrix) -> PauliDecomposition:
@@ -91,11 +106,11 @@ def decompose(rho: DensityMatrix) -> PauliDecomposition:
     a = np.empty(3)
     p = np.empty(3)
     d = np.empty((3, 3))
-    for i, si in enumerate(PAULIS):
-        a[i] = _real_trace(m @ np.kron(si, ID2))
-        p[i] = _real_trace(m @ np.kron(ID2, si))
-        for j, sj in enumerate(PAULIS):
-            d[i, j] = _real_trace(m @ np.kron(si, sj))
+    for i in range(3):
+        a[i] = _real_trace(m @ _KRON_A[i])
+        p[i] = _real_trace(m @ _KRON_P[i])
+        for j in range(3):
+            d[i, j] = _real_trace(m @ _KRON_D[i][j])
     return PauliDecomposition(A=a, P=p, D=d)
 
 
@@ -113,11 +128,11 @@ def compose(pd: PauliDecomposition) -> DensityMatrix:
     physical state raise NotPositive.
     """
     m = ID4.copy()
-    for i, si in enumerate(PAULIS):
-        m += pd.A[i] * np.kron(si, ID2)
-        m += pd.P[i] * np.kron(ID2, si)
-        for j, sj in enumerate(PAULIS):
-            m += pd.D[i, j] * np.kron(si, sj)
+    for i in range(3):
+        m += pd.A[i] * _KRON_A[i]
+        m += pd.P[i] * _KRON_P[i]
+        for j in range(3):
+            m += pd.D[i, j] * _KRON_D[i][j]
     return validate(m / 4.0)
 
 

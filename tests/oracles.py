@@ -6,7 +6,12 @@ product instead of diagonalizing a Hermitian form, and the fit oracle does
 a brute-force grid search instead of using the closed-form minimizer, and
 the sampler oracle draws through ``Generator.integers`` in one piece and
 bins with ``searchsorted`` instead of counting chunks of raw Philox words.
+The Jacobi oracle rotates numpy array slices instead of nested lists of
+Python ``complex``, and the decomposition oracle builds its Kronecker
+products on every call instead of once at import.
 """
+import math
+
 import numpy as np
 
 from bellpair.protocol import chi_square, chsh_value
@@ -62,3 +67,73 @@ def searchsorted_counts(probs: np.ndarray, n: int, key: int) -> list[int]:
     draws = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
     outcomes = np.searchsorted(edges, draws, side="right")
     return [int(c) for c in np.bincount(outcomes, minlength=4)]
+
+
+def _rotate_numpy(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    apq = a[p, q]
+    r = abs(apq)
+    if r == 0.0:
+        return
+    phase = apq / r
+    delta = (a[q, q] - a[p, p]).real
+    phi = delta / (2.0 * r)
+    if phi == 0.0:
+        t = 1.0
+    else:
+        t = -math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c * np.conj(phase)
+    col_p = c * a[:, p] + s * a[:, q]
+    col_q = -np.conj(s) * a[:, p] + c * a[:, q]
+    a[:, p] = col_p
+    a[:, q] = col_q
+    row_p = c * a[p, :] + np.conj(s) * a[q, :]
+    row_q = -s * a[p, :] + c * a[q, :]
+    a[p, :] = row_p
+    a[q, :] = row_q
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+    vcol_p = c * v[:, p] + s * v[:, q]
+    vcol_q = -np.conj(s) * v[:, p] + c * v[:, q]
+    v[:, p] = vcol_p
+    v[:, q] = vcol_q
+
+
+def jacobi_numpy(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
+    """Unsorted eigenvalues and eigenvectors by cyclic Jacobi on numpy slices.
+
+    Same pivot order, rotation formula and pivot clean-up as
+    ``bellpair.linalg._jacobi``; each rotation updates whole rows and
+    columns as numpy arrays.
+    """
+    n = m.shape[0]
+    a = np.array(m, dtype=complex)
+    v = np.eye(n, dtype=complex)
+    for _ in range(max_sweeps):
+        off = a - np.diag(np.diag(a))
+        if np.sqrt(np.sum(np.abs(off) ** 2)) <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _rotate_numpy(a, v, p, q)
+    return np.diag(a).real.copy(), v
+
+
+_I2 = np.eye(2, dtype=complex)
+_PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex), _SY,
+           np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def decompose_kron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors A, P and correlation matrix D with per-call ``np.kron``."""
+    a = np.empty(3)
+    p = np.empty(3)
+    d = np.empty((3, 3))
+    for i, si in enumerate(_PAULIS):
+        a[i] = np.trace(m @ np.kron(si, _I2)).real
+        p[i] = np.trace(m @ np.kron(_I2, si)).real
+        for j, sj in enumerate(_PAULIS):
+            d[i, j] = np.trace(m @ np.kron(si, sj)).real
+    return a, p, d

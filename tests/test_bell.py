@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bellpair.bell as bell
 from bellpair.bell import (
     AnalyzerDirections,
     DegenerateD,
@@ -15,9 +16,10 @@ from bellpair.bell import (
     tangle,
     violates_chsh,
 )
+from bellpair.linalg import sqrt_psd
 from bellpair.protocol import angle_to_direction
 from bellpair.states import decompose, product_state, singlet, unpolarized, validate, werner
-from conftest import haar_unitary2, random_density_matrix, random_unit3
+from conftest import haar_unitary2, random_density_matrix, random_mixture, random_unit3
 from oracles import tangle_charpoly
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -171,3 +173,14 @@ def test_report_exposes_purity_and_tangle():
     report = horodecki_max(werner(0.9))
     assert report.purity == pytest.approx(0.8575, abs=1e-12)
     assert report.tangle == pytest.approx(0.85, abs=1e-10)
+
+
+def test_tangle_from_stored_spectrum_equals_fresh_sqrt_psd(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    states = [random_density_matrix(rng) for _ in range(20)]
+    states += [random_mixture(rng) for _ in range(20)]
+    states += [singlet(), unpolarized(), werner(0.9), werner(0.3)]
+    stored = [tangle(rho) for rho in states]
+    for rho, value in zip(states, stored):
+        monkeypatch.setattr(bell, "sqrt_spectrum", lambda spec, m=rho.mat: sqrt_psd(m))
+        assert tangle(rho) == value

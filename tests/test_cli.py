@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellpair.cli import main
+from bellpair.cli import SWEEP_MAX_ROWS, main
 from bellpair.dataset import PUBLISHED_CASE1
 
 
@@ -110,6 +110,24 @@ def test_sweep_rejects_bad_range(capsys):
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, "sweep", "--min", "0", "--max", "1", "--step", "-0.1")
     assert code == 2
+
+
+@pytest.mark.parametrize("arg", ["--step=nan", "--step=inf", "--min=nan", "--max=nan", "--min=-inf", "--max=inf"])
+def test_sweep_rejects_non_finite_bounds(capsys, arg):
+    code, out, err = run(capsys, "sweep", arg)
+    assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324", "9.99e-5"])
+def test_sweep_rejects_steps_beyond_the_row_cap(capsys, step):
+    code, out, err = run(capsys, "sweep", "--step", step)
+    assert code == 2 and out == "" and str(SWEEP_MAX_ROWS) in err
+
+
+def test_sweep_single_point_accepts_any_positive_step(capsys):
+    code, out, _ = run(capsys, "sweep", "--min", "0.5", "--max", "0.5", "--step", "1e-300", "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines() if not line.startswith("#")] == ["gamma", "0.5"]
 
 
 def test_table1_matches_published_case1(capsys):

@@ -9,11 +9,13 @@ from bellpair.linalg import (
     NotHermitian,
     NotPSD,
     NotSymmetric,
+    _sorted_spectrum,
     eig_hermitian,
     eig_symmetric3,
     sqrt_psd,
 )
 from bellpair.states import werner
+from oracles import jacobi_numpy
 
 
 def random_hermitian4(rng):
@@ -117,6 +119,34 @@ def test_symmetric3_matches_reference(seed):
     spec = eig_symmetric3(m)
     assert np.allclose(spec.eigenvalues, np.sort(np.linalg.eigvalsh(m))[::-1], atol=1e-9)
     assert np.max(np.abs((spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T - m)) <= 1e-9
+
+
+def assert_matches_numpy_kernel(m, spec):
+    """Eigenvalues to 1e-14; eigenvectors to 1e-13 up to phase where gaps exceed 1e-6."""
+    ref = _sorted_spectrum(*jacobi_numpy(m.astype(complex)))
+    w = ref.eigenvalues
+    assert np.max(np.abs(spec.eigenvalues - w)) <= 1e-14
+    for k in range(len(w)):
+        if min(abs(w[k] - w[j]) for j in range(len(w)) if j != k) <= 1e-6:
+            continue
+        u, x = ref.eigenvectors[:, k], spec.eigenvectors[:, k]
+        overlap = np.vdot(x, u)
+        assert np.max(np.abs(x * (overlap / abs(overlap)) - u)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hermitian4_matches_numpy_slice_kernel(seed):
+    m = random_hermitian4(np.random.default_rng(seed))
+    assert_matches_numpy_kernel(m, eig_hermitian(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_symmetric3_matches_numpy_slice_kernel(seed):
+    g = np.random.default_rng(seed).normal(size=(3, 3))
+    m = g + g.T
+    assert_matches_numpy_kernel(m, eig_symmetric3(m))
 
 
 def test_sqrt_psd_identity_and_diagonal():

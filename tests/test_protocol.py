@@ -123,6 +123,12 @@ def test_count_table_rejects_negative():
         CountTable(0, 0, -1, 0, 0, 0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_count_table_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        CountTable(0, 0, 0, 0, value, 0)
+
+
 @settings(max_examples=200)
 @given(
     n=st.tuples(

@@ -24,6 +24,7 @@ from bellpair.states import (
     werner,
 )
 from conftest import random_density_matrix, random_mixture, random_pure_ket
+from oracles import decompose_kron
 
 
 def test_validate_accepts_maximally_mixed():
@@ -220,3 +221,27 @@ def test_pure_mixture_round_trip_via_kets():
     ket = random_pure_ket(rng)
     rho = validate(np.outer(ket, ket.conj()))
     assert purity(rho) == pytest.approx(1.0, abs=1e-10)
+
+
+NAMED = (singlet, triplet0, phi_plus, phi_minus, unpolarized)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_decompose_bitwise_equals_per_call_kron(seed):
+    rng = np.random.default_rng(seed)
+    states = [random_density_matrix(rng), random_mixture(rng), werner(float(rng.uniform()))]
+    states += [make() for make in NAMED]
+    for rho in states:
+        pd = decompose(rho)
+        a, p, d = decompose_kron(rho.mat)
+        assert np.array_equal(pd.A, a) and np.array_equal(pd.P, p) and np.array_equal(pd.D, d)
+
+
+def test_validate_keeps_the_spectrum_of_its_matrix():
+    rho = random_density_matrix(np.random.default_rng(3))
+    fresh = eig_hermitian(rho.mat)
+    assert np.array_equal(rho.spectrum.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(rho.spectrum.eigenvectors, fresh.eigenvectors)
+    with pytest.raises(ValueError):
+        rho.spectrum.eigenvalues[0] = 0.0
