@@ -19,7 +19,8 @@ comment lines:
 * settings files: either ``phi1, phi2`` pairs or full four-angle rows
   ``phi1, phi1p, phi2, phi2p`` which expand to their four pairs.
 
-Every number in these formats must be finite.
+Every file is read as UTF-8, and every number in these formats must be
+finite.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def _field_array(doc: dict, kind: str, key: str, shape: tuple[int, ...]) -> np.n
         arr = np.asarray(doc[key], dtype=float)
     except KeyError:
         raise FileFormatError(f"state file of kind {kind!r} is missing field {key!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"field {key!r}: {exc}") from None
     if arr.shape != shape:
         raise FileFormatError(f"field {key!r} must have shape {shape}, got {arr.shape}")
@@ -62,8 +63,8 @@ def _field_array(doc: dict, kind: str, key: str, shape: tuple[int, ...]) -> np.n
 def load_state(path: str | Path) -> states.DensityMatrix:
     """Read a state file; validation errors propagate from the state model."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, over-long integers
         raise FileFormatError(f"cannot read state file {path}: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FileFormatError("state file must be a JSON object with a 'kind' field")
@@ -84,7 +85,7 @@ def load_state(path: str | Path) -> states.DensityMatrix:
             gamma = float(doc["gamma"])
         except KeyError:
             raise FileFormatError("state file of kind 'werner' is missing field 'gamma'") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(f"field 'gamma': {exc}") from None
         return states.werner(gamma)
     if kind == "named":
@@ -123,8 +124,8 @@ def _floats(fields: list[str], n: int, lineno: str) -> list[float]:
 def load_data(path: str | Path) -> list[ChshDatum]:
     """Read a CHSH data file (or a counts file, grouped into settings)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read data file {path}: {exc}") from None
     if is_counts_text(text):
         try:
@@ -187,8 +188,8 @@ def counts_text(tables: Sequence[CountTable], header_lines: Sequence[str] = ()) 
 def load_settings(path: str | Path) -> list[tuple[float, float]]:
     """Read a settings file into a flat list of angle pairs."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read settings file {path}: {exc}") from None
     pairs: list[tuple[float, float]] = []
     for *fields, lineno in _data_lines(text):

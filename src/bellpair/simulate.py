@@ -19,10 +19,20 @@ this stream contract:
   and is never drawn);
 * draws are made in fixed chunks of ``CHUNK`` words, which bounds memory
   at any event count and gives the same words as a single draw.
+
+Settings are drawn concurrently, striped over up to one thread per usable
+core and per ``_THREAD_WORDS`` words of the run. The calling thread is one
+of them, so a one-core host, a one-setting run or a short run starts no
+thread. Each setting still reads only its own stream, so the counts do not
+depend on the thread count or on scheduling.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import operator
+import os
+import threading
+
 import numpy as np
 
 from .protocol import CountTable, angle_to_direction
@@ -32,6 +42,7 @@ _BITS = 53
 _SCALE = float(1 << _BITS)
 _SHIFT = np.uint64(64 - _BITS)
 CHUNK = 1 << 16  # raw words drawn at a time
+_THREAD_WORDS = 1 << 16  # words per thread below which a thread's start-up costs more than it saves
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("events_per_setting", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.events_per_setting < 1:
             raise ValueError("events_per_setting must be >= 1")
         if not (0 <= self.seed < 2**64):
@@ -77,23 +94,60 @@ def _stream_key(seed: int, index: int) -> int:
     return (seed << 64) | index
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def _draw_counts(probs: np.ndarray, n: int, key: int) -> list[int]:
     edges = np.rint(np.cumsum(probs[:3]) * _SCALE).astype(np.uint64)
     bitgen = np.random.Philox(key=key)
     below = [0, 0, 0]
     for start in range(0, n, CHUNK):
-        draws = bitgen.random_raw(min(CHUNK, n - start)) >> _SHIFT
+        draws = bitgen.random_raw(min(CHUNK, n - start))
+        np.right_shift(draws, _SHIFT, out=draws)
         for k, edge in enumerate(edges):
             below[k] += int(np.count_nonzero(draws < edge))
+        del draws  # so a thread never holds two chunks
     return [below[0], below[1] - below[0], below[2] - below[1], n - below[2]]
 
 
 def simulate(cfg: SimConfig) -> list[CountTable]:
-    """Coincidence counts per setting; identical config, identical counts."""
+    """Coincidence counts per setting; identical config, identical counts.
+
+    Worker threads call only ``_draw_counts``; the decomposition, the
+    probabilities and the tables are made on the calling thread.
+    """
     pd = decompose(cfg.state)
-    out = []
-    for index, (phi1, phi2) in enumerate(cfg.settings):
-        probs = _probabilities(pd, phi1, phi2)
-        n_pp, n_pm, n_mp, n_mm = _draw_counts(probs, cfg.events_per_setting, _stream_key(cfg.seed, index))
-        out.append(CountTable(phi1=phi1, phi2=phi2, n_pp=n_pp, n_pm=n_pm, n_mp=n_mp, n_mm=n_mm))
-    return out
+    jobs = [(_probabilities(pd, phi1, phi2), _stream_key(cfg.seed, index))
+            for index, (phi1, phi2) in enumerate(cfg.settings)]
+    counts: list = [None] * len(jobs)
+    errors: dict[int, BaseException] = {}
+    words = len(jobs) * cfg.events_per_setting
+    workers = max(1, min(len(jobs), _usable_cores(), words // _THREAD_WORDS))
+
+    def work(first: int) -> None:
+        for index in range(first, len(jobs), workers):
+            if errors:  # another setting failed; its error is raised after join
+                return
+            try:
+                probs, key = jobs[index]
+                counts[index] = _draw_counts(probs, cfg.events_per_setting, key)
+            except BaseException as exc:
+                errors[index] = exc
+                return
+
+    helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    work(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return [
+        CountTable(phi1=phi1, phi2=phi2, n_pp=n_pp, n_pm=n_pm, n_mp=n_mp, n_mm=n_mm)
+        for (phi1, phi2), (n_pp, n_pm, n_mp, n_mm) in zip(cfg.settings, counts)
+    ]

@@ -85,6 +85,40 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert code == 3 and "invalid state" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "werner", "gamma": 10**400},
+    {"kind": "pauli", "A": [10**400, 0, 0], "P": [0, 0, 0], "D": np.zeros((3, 3)).tolist()},
+])
+def test_analyze_huge_json_integers_exit_2(tmp_path, capsys, doc):
+    code, out, err = run(capsys, "analyze", "--state", state_file(tmp_path, doc))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_analyze_over_long_json_integer_exit_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"kind": "werner", "gamma": ' + "1" * 5000 + "}")
+    code, out, err = run(capsys, "analyze", "--state", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", ["state", "data", "settings"])
+def test_non_utf8_input_files_exit_2(tmp_path, capsys, bad):
+    state = state_file(tmp_path, {"kind": "werner", "gamma": 0.9})
+    settings = tmp_path / "settings.txt"
+    settings.write_text("90, 0, 45, 135\n")
+    broken = tmp_path / "broken.txt"
+    broken.write_bytes(b"\xff90, 0, 45, 135\n")
+    argv = {
+        "state": ["simulate", "--state", str(broken), "--settings", str(settings)],
+        "settings": ["simulate", "--state", state, "--settings", str(broken)],
+        "data": ["fit", "--data", str(broken)],
+    }[bad]
+    if argv[0] == "simulate":
+        argv += ["--events", "10", "--seed", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "cannot read" in err
+
+
 def test_sweep_endpoints_and_crossing(capsys):
     code, out, _ = run(capsys, "sweep", "--min", "0", "--max", "1", "--step", "0.01",
                        "--format", "json")

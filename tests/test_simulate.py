@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,8 @@ from bellpair.protocol import AngleSettings, correlation, estimate_correlation
 from bellpair.simulate import CHUNK, SimConfig, _draw_counts, _stream_key, joint_probabilities, simulate
 from bellpair.states import PauliDecomposition, compose, singlet, unpolarized, werner
 from oracles import searchsorted_counts
+
+sim = importlib.import_module("bellpair.simulate")  # the package attribute is the function
 
 # SHA-256 of "phi1!r,phi2!r,n_pp,n_pm,n_mp,n_mm\n" per simulated pair; the
 # same cases and digests pin the benchmark's output checks
@@ -26,6 +30,16 @@ GOLDEN = [
      [(10.0, 100.0, 55.0, 145.0)], 12345, 2**64 - 1,
      "7b1971be7ba90d458c0ac3d7207d748a71ae40a62c48a0f164fa6b336cac22e6"),
 ]
+
+
+def _settings(count):
+    return tuple((7.0 * k, 45.0 + 11.0 * k) for k in range(count))
+
+
+def _force_workers(monkeypatch, workers):
+    """Pretend to have ``workers`` cores and let any run use all of them."""
+    monkeypatch.setattr(sim, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(sim, "_THREAD_WORDS", 1)
 
 
 def test_joint_probabilities_singlet_aligned():
@@ -92,6 +106,28 @@ def test_config_validation():
         SimConfig(state=singlet(), settings=((0.0, 0.0),), events_per_setting=10, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(state=singlet(), settings=((0.0, 0.0),), events_per_setting=10, seed=2**64)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("events_per_setting", 2.5), ("seed", 1.5), ("events_per_setting", "10"), ("seed", "10"),
+])
+def test_config_rejects_non_integers(field, value):
+    kwargs = dict(state=singlet(), settings=((0.0, 0.0),), events_per_setting=10, seed=1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        SimConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    cfg = SimConfig(state=singlet(), settings=((0.0, 0.0),), events_per_setting=np.int64(10),
+                    seed=np.uint64(2**64 - 1))
+    assert type(cfg.events_per_setting) is int and type(cfg.seed) is int
+    assert simulate(cfg) == simulate(SimConfig(state=singlet(), settings=((0.0, 0.0),),
+                                               events_per_setting=10, seed=2**64 - 1))
+
+
+def test_no_settings_give_no_tables():
+    assert simulate(SimConfig(state=singlet(), settings=(), events_per_setting=10, seed=1)) == []
 
 
 def test_single_large_run_lands_within_five_sigma():
@@ -200,12 +236,107 @@ def test_counts_match_searchsorted_oracle():
                 assert _draw_counts(probs, n, key) == searchsorted_counts(probs, n, key)
 
 
-def test_sampler_memory_is_bounded():
-    cfg = SimConfig(state=werner(0.5), settings=((10.0, 60.0),), events_per_setting=4_000_000, seed=5)
-    tracemalloc.start()
-    try:
-        assert simulate(cfg)[0].total == 4_000_000
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+def test_sampler_memory_is_bounded(monkeypatch):
+    # one long setting, and eight settings drawn on two concurrent threads
+    _force_workers(monkeypatch, 2)
+    for pairs, events in ((((10.0, 60.0),), 4_000_000), (_settings(8), 400_000)):
+        cfg = SimConfig(state=werner(0.5), settings=pairs, events_per_setting=events, seed=5)
+        tracemalloc.start()
+        try:
+            assert [t.total for t in simulate(cfg)] == [events] * len(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 16])
+def test_concurrent_counts_match_oracle_for_any_worker_count(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    rho = werner(0.37)
+    for count in (1, 4, 9):
+        pairs = _settings(count)
+        for n in (CHUNK - 1, CHUNK, 3 * CHUNK + 7):
+            tables = simulate(SimConfig(state=rho, settings=pairs, events_per_setting=n, seed=77))
+            assert [(t.phi1, t.phi2) for t in tables] == list(pairs)
+            for index, (t, (phi1, phi2)) in enumerate(zip(tables, pairs)):
+                want = searchsorted_counts(joint_probabilities(rho, phi1, phi2), n, _stream_key(77, index))
+                assert [t.n_pp, t.n_pm, t.n_mp, t.n_mm] == want
+
+
+@pytest.mark.parametrize("workers, count", [(2, 4), (3, 9), (16, 3)])
+def test_settings_are_striped_over_worker_threads(monkeypatch, workers, count):
+    _force_workers(monkeypatch, workers)
+    draw = sim._draw_counts
+    seen = []
+
+    def recording(probs, n, key):
+        seen.append((key, threading.current_thread()))
+        return draw(probs, n, key)
+
+    monkeypatch.setattr(sim, "_draw_counts", recording)
+    simulate(SimConfig(state=werner(0.6), settings=_settings(count), events_per_setting=100, seed=3))
+    assert sorted(key for key, _ in seen) == [_stream_key(3, i) for i in range(count)]
+    assert len({thread for _, thread in seen}) == min(workers, count)
+    assert threading.main_thread() in {thread for _, thread in seen}
+
+
+def _threads_started(monkeypatch):
+    started = []
+    thread = threading.Thread
+
+    def recording(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(sim.threading, "Thread", recording)
+    return started
+
+
+@pytest.mark.parametrize("workers, count", [(1, 5), (4, 1)])
+def test_no_thread_is_started_for_one_core_or_one_setting(monkeypatch, workers, count):
+    _force_workers(monkeypatch, workers)
+    started = _threads_started(monkeypatch)
+    tables = simulate(SimConfig(state=werner(0.6), settings=_settings(count), events_per_setting=100, seed=3))
+    assert len(tables) == count and started == []
+
+
+def test_threads_only_for_runs_worth_them(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 4)
+    started = _threads_started(monkeypatch)
+    pairs = _settings(4)
+    simulate(SimConfig(state=werner(0.6), settings=pairs, events_per_setting=CHUNK // 4 - 1, seed=3))
+    assert started == []
+    simulate(SimConfig(state=werner(0.6), settings=pairs, events_per_setting=CHUNK // 2, seed=3))
+    assert len(started) == 1  # 2^17 words: the calling thread and one helper
+
+
+@pytest.mark.parametrize("failing", [0, 1, 4])
+def test_error_in_one_setting_propagates(monkeypatch, failing):
+    _force_workers(monkeypatch, 2)
+    draw = sim._draw_counts
+
+    def faulty(probs, n, key):
+        if key == _stream_key(8, failing):
+            raise MemoryError(f"setting {failing}")
+        return draw(probs, n, key)
+
+    monkeypatch.setattr(sim, "_draw_counts", faulty)
+    running = threading.active_count()
+    with pytest.raises(MemoryError, match=f"setting {failing}"):
+        simulate(SimConfig(state=werner(0.6), settings=_settings(5), events_per_setting=100, seed=8))
+    assert threading.active_count() == running  # the helper was joined
+
+
+def test_decompose_runs_once_on_the_calling_thread(monkeypatch):
+    _force_workers(monkeypatch, 3)
+    original = sim.decompose
+    callers = []
+
+    def recording(rho):
+        callers.append(threading.current_thread())
+        return original(rho)
+
+    monkeypatch.setattr(sim, "decompose", recording)
+    simulate(SimConfig(state=werner(0.6), settings=_settings(6), events_per_setting=100, seed=2))
+    assert callers == [threading.current_thread()]
