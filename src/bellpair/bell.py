@@ -107,14 +107,6 @@ def bell_mean(rho: DensityMatrix, dirs: AnalyzerDirections) -> float:
     return float(dirs.a @ (d @ (dirs.b + dirs.b_prime)) + dirs.a_prime @ (d @ (dirs.b - dirs.b_prime)))
 
 
-def bell_mean_batch(d: np.ndarray, a: np.ndarray, a_prime: np.ndarray,
-                    b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
-    """Vectorized CHSH mean for arrays of direction quadruples (..., 3)."""
-    plus = (b + b_prime) @ d.T
-    minus = (b - b_prime) @ d.T
-    return np.einsum("...i,...i->...", a, plus) + np.einsum("...i,...i->...", a_prime, minus)
-
-
 def optimal_directions(rho: DensityMatrix) -> AnalyzerDirections:
     """Analyzer settings attaining the maximal CHSH mean value.
 

@@ -12,6 +12,7 @@ degenerate data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,16 +37,17 @@ from .protocol import (
     NonpositiveError,
     NotFinite,
     chi_square,
-    chsh_value,
+    chsh_from_correlation,
     fit_gamma,
 )
-from .simulate import SimConfig, simulate
+from .simulate import SimConfig, SimConfigError, simulate
 from .states import (
+    SINGLET_PAULI,
     BlochVectorTooLong,
     GammaOutOfRange,
     NotPositive,
     TraceNotOne,
-    singlet,
+    decompose,
     werner,
 )
 
@@ -265,13 +267,12 @@ def cmd_sweep(args: argparse.Namespace) -> str:
 
 def _table1_rows() -> list[dict]:
     data = embedded_data()
-    pure = singlet()
-    mixed = werner(REFERENCE_GAMMA)
+    mixed = decompose(werner(REFERENCE_GAMMA)).D
     rows = []
     for i, datum in enumerate(data):
         s = datum.settings
-        case1 = chsh_value(pure, s)
-        case2 = chsh_value(mixed, s)
+        case1 = chsh_from_correlation(SINGLET_PAULI.D, s)
+        case2 = chsh_from_correlation(mixed, s)
         rows.append(
             {
                 "phi1": s.phi1,
@@ -433,10 +434,6 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     settings = load_settings(args.settings)
     if not settings:
         raise EmptyData("settings file has no rows")
-    if args.events < 1:
-        raise CommandError(EXIT_PARSE, "events must be >= 1")
-    if not (0 <= args.seed < 2**64):
-        raise CommandError(EXIT_PARSE, "seed must be a 64-bit unsigned integer")
     cfg = SimConfig(
         state=state,
         settings=tuple(settings),
@@ -456,6 +453,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 # --- wiring --------------------------------------------------------------------
 
 
+@functools.cache  # built on the first call; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellpair",
@@ -506,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileFormatError as exc:
+    except (FileFormatError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NotHermitian, TraceNotOne, NotPositive, NotPSD, GammaOutOfRange, BlochVectorTooLong) as exc:

@@ -64,7 +64,7 @@ def load_state(path: str | Path) -> states.DensityMatrix:
     """Read a state file; validation errors propagate from the state model."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, over-long integers
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integers, deep nesting
         raise FileFormatError(f"cannot read state file {path}: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FileFormatError("state file must be a JSON object with a 'kind' field")

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import DensityMatrix, decompose, singlet
+from .states import SINGLET_PAULI, DensityMatrix, decompose
 
 REFERENCE_GAMMA = 0.9  # mixing level of the reference comparison (case 2)
 
@@ -142,18 +142,13 @@ def correlation(rho: DensityMatrix, phi1: float, phi2: float) -> float:
 
 def chsh_value(rho: DensityMatrix, s: AngleSettings) -> float:
     """Absolute value of the four-angle CHSH combination for a state."""
-    d = decompose(rho).D
+    return chsh_from_correlation(decompose(rho).D, s)
 
-    def corr(p1: float, p2: float) -> float:
-        return float(angle_to_direction(p1) @ d @ angle_to_direction(p2))
 
-    combo = (
-        corr(s.phi1, s.phi2)
-        + corr(s.phi1, s.phi2p)
-        + corr(s.phi1p, s.phi2)
-        - corr(s.phi1p, s.phi2p)
-    )
-    return abs(combo)
+def chsh_from_correlation(d: np.ndarray, s: AngleSettings) -> float:
+    """:func:`chsh_value` for a state with correlation matrix ``d``."""
+    e = [float(angle_to_direction(p1) @ d @ angle_to_direction(p2)) for p1, p2 in s.pairs()]
+    return abs(e[0] + e[1] + e[2] - e[3])
 
 
 def estimate_correlation(c: CountTable) -> tuple[float, float]:
@@ -222,8 +217,7 @@ def fit_gamma(data: Sequence[ChshDatum]) -> FitResult:
     data = list(data)
     if not data:
         raise EmptyData("cannot fit an empty dataset")
-    pure = singlet()
-    s_vals = [chsh_value(pure, d.settings) for d in data]
+    s_vals = [chsh_from_correlation(SINGLET_PAULI.D, d.settings) for d in data]
     try:
         num = sum(s * d.r_exp / d.dr_exp**2 for s, d in zip(s_vals, data))
         den = sum(s * s / d.dr_exp**2 for s, d in zip(s_vals, data))

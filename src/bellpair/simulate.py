@@ -45,6 +45,10 @@ CHUNK = 1 << 16  # raw words drawn at a time
 _THREAD_WORDS = 1 << 16  # words per thread below which a thread's start-up costs more than it saves
 
 
+class SimConfigError(ValueError):
+    """Events per setting or seed that no simulation run accepts."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run: state, angle pairs, events per pair, seed."""
@@ -60,11 +64,11 @@ class SimConfig:
             try:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+                raise SimConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.events_per_setting < 1:
-            raise ValueError("events_per_setting must be >= 1")
+            raise SimConfigError("events_per_setting must be >= 1")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise SimConfigError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "settings", tuple((float(p1), float(p2)) for p1, p2 in self.settings))
 
 

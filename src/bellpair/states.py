@@ -4,6 +4,15 @@ Basis order is the product basis {|++>, |+->, |-+>, |-->} with
 sigma_z|+> = +|+>, which makes sigma_z (x) sigma_z diagonal (1,-1,-1,1).
 Correlations of a state split into two local Bloch vectors A, P and the
 3x3 correlation matrix D with D_ij = Tr[rho (sigma_i (x) sigma_j)].
+
+Each Pauli product K (sigma_i (x) 1, 1 (x) sigma_i, sigma_i (x) sigma_j)
+is a signed permutation: column c has one nonzero, +-1 or +-i, in row
+r(c).  So Tr(m K) is four exact terms t_c = m[c, r(c)] K[r(c), c].
+:func:`decompose` sums them as (t0 + t1) + (t2 + t3), the order numpy's
+pairwise sum takes over the diagonal of ``np.trace(m @ K)`` (sequential
+order differs in the last bit for most states), then adds 0.0, because
+the matrix product never returns -0.0.  D, and every simulated count, is
+bitwise that of the dense route, ``tests/oracles.py::decompose_kron``.
 """
 from __future__ import annotations
 
@@ -20,11 +29,14 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
-# The 15 Kronecker products sigma_i (x) 1, 1 (x) sigma_i and
-# sigma_i (x) sigma_j, built once at import for decompose and compose.
-_KRON_A = tuple(np.kron(si, ID2) for si in PAULIS)
-_KRON_P = tuple(np.kron(ID2, si) for si in PAULIS)
-_KRON_D = tuple(tuple(np.kron(si, sj) for sj in PAULIS) for si in PAULIS)
+# The 15 Pauli products, five per i = x, y, z: sigma_i (x) 1, 1 (x) sigma_i,
+# sigma_i (x) sigma_j (j = x, y, z).  compose adds them in this order;
+# column c of product k has its one nonzero, _PHASES[k, c], in row _ROWS[k, c].
+_PRODUCTS = np.array([np.kron(left, right) for si in PAULIS
+                      for left, right in ((si, ID2), (ID2, si), *((si, sj) for sj in PAULIS))])
+_ROWS = np.argmax(_PRODUCTS != 0, axis=1)
+_GATHER = 4 * np.arange(4) + _ROWS  # flat index of m[c, _ROWS[k, c]]
+_PHASES = np.take_along_axis(_PRODUCTS, _ROWS[:, None, :], axis=1)[:, 0, :]
 
 TRACE_TOL = 1e-10
 IMAG_TOL = 1e-10
@@ -102,23 +114,13 @@ def validate(mat: np.ndarray) -> DensityMatrix:
 
 def decompose(rho: DensityMatrix) -> PauliDecomposition:
     """Local Bloch vectors and correlation matrix of a state."""
-    m = rho.mat
-    a = np.empty(3)
-    p = np.empty(3)
-    d = np.empty((3, 3))
-    for i in range(3):
-        a[i] = _real_trace(m @ _KRON_A[i])
-        p[i] = _real_trace(m @ _KRON_P[i])
-        for j in range(3):
-            d[i, j] = _real_trace(m @ _KRON_D[i][j])
-    return PauliDecomposition(A=a, P=p, D=d)
-
-
-def _real_trace(m: np.ndarray) -> float:
-    tr = np.trace(m)
-    if abs(tr.imag) > IMAG_TOL:
-        raise NotHermitian(f"Pauli expectation has imaginary part {tr.imag:.3e}")
-    return float(tr.real)
+    t = rho.mat.ravel()[_GATHER] * _PHASES
+    traces = (t[:, 0] + t[:, 1]) + (t[:, 2] + t[:, 3]) + 0.0
+    bad = np.flatnonzero(np.abs(traces.imag) > IMAG_TOL)
+    if bad.size:
+        raise NotHermitian(f"Pauli expectation has imaginary part {traces.imag[bad[0]]:.3e}")
+    parts = traces.real.reshape(3, 5)
+    return PauliDecomposition(A=parts[:, 0].copy(), P=parts[:, 1].copy(), D=parts[:, 2:].copy())
 
 
 def compose(pd: PauliDecomposition) -> DensityMatrix:
@@ -128,11 +130,8 @@ def compose(pd: PauliDecomposition) -> DensityMatrix:
     physical state raise NotPositive.
     """
     m = ID4.copy()
-    for i in range(3):
-        m += pd.A[i] * _KRON_A[i]
-        m += pd.P[i] * _KRON_P[i]
-        for j in range(3):
-            m += pd.D[i, j] * _KRON_D[i][j]
+    for coeff, product in zip(np.column_stack((pd.A, pd.P, pd.D)).ravel(), _PRODUCTS):
+        m += coeff * product
     return validate(m / 4.0)
 
 
@@ -156,6 +155,13 @@ def _projector(ket: np.ndarray) -> DensityMatrix:
 def singlet() -> DensityMatrix:
     """The antisymmetric Bell state (|+-> - |-+>)/sqrt(2); D = -identity."""
     return _projector(_SINGLET_KET)
+
+
+# decompose(singlet()), computed once; its arrays are read-only.
+SINGLET_PAULI = decompose(singlet())
+SINGLET_PAULI.A.setflags(write=False)
+SINGLET_PAULI.P.setflags(write=False)
+SINGLET_PAULI.D.setflags(write=False)
 
 
 def triplet0() -> DensityMatrix:

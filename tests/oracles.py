@@ -7,8 +7,9 @@ a brute-force grid search instead of using the closed-form minimizer, and
 the sampler oracle draws through ``Generator.integers`` in one piece and
 bins with ``searchsorted`` instead of counting chunks of raw Philox words.
 The Jacobi oracle rotates numpy array slices instead of nested lists of
-Python ``complex``, and the decomposition oracle builds its Kronecker
-products on every call instead of once at import.
+Python ``complex``, and the decomposition and composition oracles build
+their Kronecker products on every call and multiply densely instead of
+gathering from, or adding, a table of products built once at import.
 """
 import math
 
@@ -137,3 +138,26 @@ def decompose_kron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for j, sj in enumerate(_PAULIS):
             d[i, j] = np.trace(m @ np.kron(si, sj)).real
     return a, p, d
+
+
+def bell_mean_batch(d: np.ndarray, a: np.ndarray, a_prime: np.ndarray,
+                    b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
+    """Vectorized CHSH mean a.D(b+b') + a'.D(b-b') for direction arrays (..., 3)."""
+    plus = (b + b_prime) @ d.T
+    minus = (b - b_prime) @ d.T
+    return np.einsum("...i,...i->...", a, plus) + np.einsum("...i,...i->...", a_prime, minus)
+
+
+def compose_kron(a: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(I + sum of Pauli products weighted by A, P and D) / 4, unvalidated.
+
+    Products are added in the order sigma_i (x) 1, 1 (x) sigma_i,
+    sigma_i (x) sigma_j (j = x, y, z) for i = x, y, z.
+    """
+    m = np.eye(4, dtype=complex)
+    for i, si in enumerate(_PAULIS):
+        m += a[i] * np.kron(si, _I2)
+        m += p[i] * np.kron(_I2, si)
+        for j, sj in enumerate(_PAULIS):
+            m += d[i, j] * np.kron(si, sj)
+    return m / 4.0

@@ -18,7 +18,6 @@ import numpy as np
 from bellpair.bell import (
     AnalyzerDirections,
     bell_mean,
-    bell_mean_batch,
     horodecki_max,
     refine_directions,
     tangle,
@@ -36,7 +35,7 @@ from bellpair.protocol import chi_square, chsh_value, fit_gamma
 from bellpair.simulate import SimConfig, simulate
 from bellpair.states import decompose, singlet, werner
 from conftest import random_density_matrix, random_unit3
-from oracles import tangle_charpoly
+from oracles import bell_mean_batch, tangle_charpoly
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 PEAK_SETTINGS = 4  # index of the strongest reference row, E(90,0,45,135)

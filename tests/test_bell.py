@@ -9,7 +9,6 @@ from bellpair.bell import (
     DegenerateD,
     NonUnitDirection,
     bell_mean,
-    bell_mean_batch,
     horodecki_max,
     optimal_directions,
     refine_directions,
@@ -20,7 +19,7 @@ from bellpair.linalg import sqrt_psd
 from bellpair.protocol import angle_to_direction
 from bellpair.states import decompose, product_state, singlet, unpolarized, validate, werner
 from conftest import haar_unitary2, random_density_matrix, random_mixture, random_unit3
-from oracles import tangle_charpoly
+from oracles import bell_mean_batch, tangle_charpoly
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 

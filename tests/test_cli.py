@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from bellpair import cli
 from bellpair.cli import SWEEP_MAX_ROWS, main
 from bellpair.dataset import PUBLISHED_CASE1
 
@@ -99,6 +102,14 @@ def test_analyze_over_long_json_integer_exit_2(tmp_path, capsys):
     path.write_text('{"kind": "werner", "gamma": ' + "1" * 5000 + "}")
     code, out, err = run(capsys, "analyze", "--state", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_analyze_deeply_nested_state_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "analyze", "--state", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", ["state", "data", "settings"])
@@ -333,6 +344,70 @@ def test_simulate_rejects_bad_events(tmp_path, capsys):
         "--events", "0", "--seed", "1",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    state = state_file(tmp_path, {"kind": "named", "name": "singlet"})
+    settings = tmp_path / "settings.txt"
+    settings.write_text("0, 0\n")
+    code, out, err = run(
+        capsys, "simulate", "--state", state, "--settings", str(settings),
+        "--events", "10", "--seed", seed,
+    )
+    assert code == 2 and out == "" and err == "error: seed must be a 64-bit unsigned integer\n"
+
+
+def _call(argv: list[str]) -> tuple[object, str, str]:
+    """Exit code (or SystemExit code), stdout and stderr of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_one(tmp_path, monkeypatch):
+    werner = state_file(tmp_path, {"kind": "werner", "gamma": 0.8})
+    bad_state = state_file(tmp_path, {"kind": "matrix", "re": np.diag([2.0, -1.0, 0, 0]).tolist(),
+                                      "im": np.zeros((4, 4)).tolist()}, name="bad.json")
+    settings = tmp_path / "settings.txt"
+    settings.write_text("0, 45, 22.5, 67.5\n")
+    counts = tmp_path / "counts.txt"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing\n")
+    simulate = ["simulate", "--state", werner, "--settings", str(settings), "--events", "1000"]
+    calls = [["simulate", *simulate[1:], "--seed", "5", "--out", str(counts)]]
+    for fmt in ("table", "json", "csv"):
+        calls += [
+            ["analyze", "--state", werner, "--format", fmt],
+            ["analyze", "--state", bad_state, "--format", fmt],  # exit 3
+            ["sweep", "--min", "0.6", "--max", "0.8", "--step", "0.1", "--format", fmt],
+            ["fit", "--data", str(empty), "--format", fmt],  # exit 4
+            ["table1", "--format", fmt],
+            ["sweep", "--step", "-1", "--format", fmt],  # exit 2
+            ["fit", "--embedded", "--format", fmt],
+            ["fit"],  # usage error: SystemExit(2)
+            ["fit", "--data", str(counts), "--format", fmt],
+            [*simulate, "--seed", "7", "--format", fmt],
+            [*simulate, "--seed", "-1", "--format", fmt],  # exit 2
+            ["analyze", "--state", werner],  # the default format after each other one
+        ]
+    calls += [["--help"], ["analyze", "--help"], ["fit", "--help"], ["simulate", "--help"],
+              ["--version"], ["bogus"]]
+
+    reused = [_call(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    build_fresh = cli._build_parser.__wrapped__
+    monkeypatch.setattr(cli, "_build_parser", build_fresh)
+    fresh = [_call(argv) for argv in calls]
+    assert reused == fresh
+    assert {code for code, _, _ in reused} == {0, 2, 3, 4}
+    usage = [err for argv, (code, _, err) in zip(calls, reused) if argv == ["fit"]]
+    assert len(usage) == 3 and all(e.startswith("usage: bellpair fit") for e in usage)
+    assert reused[calls.index(["--help"])][1] == build_fresh().format_help()
 
 
 def test_out_writes_identical_text(tmp_path, capsys):

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpair.protocol import AngleSettings, correlation, estimate_correlation
-from bellpair.simulate import CHUNK, SimConfig, _draw_counts, _stream_key, joint_probabilities, simulate
+from bellpair.simulate import (
+    CHUNK,
+    SimConfig,
+    SimConfigError,
+    _draw_counts,
+    _stream_key,
+    joint_probabilities,
+    simulate,
+)
 from bellpair.states import PauliDecomposition, compose, singlet, unpolarized, werner
 from oracles import searchsorted_counts
 
@@ -106,6 +114,12 @@ def test_config_validation():
         SimConfig(state=singlet(), settings=((0.0, 0.0),), events_per_setting=10, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(state=singlet(), settings=((0.0, 0.0),), events_per_setting=10, seed=2**64)
+
+
+@pytest.mark.parametrize("events, seed", [(0, 1), (10, -1), (10, 2**64), (2.5, 1), (10, "1")])
+def test_config_errors_have_their_own_class(events, seed):
+    with pytest.raises(SimConfigError):
+        SimConfig(state=singlet(), settings=((0.0, 0.0),), events_per_setting=events, seed=seed)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from bellpair.bell import tangle
 from bellpair.linalg import NotHermitian, eig_hermitian
 from bellpair.states import (
+    SINGLET_PAULI,
     BlochVectorTooLong,
+    DensityMatrix,
     GammaOutOfRange,
     NotPositive,
     PauliDecomposition,
@@ -24,7 +26,7 @@ from bellpair.states import (
     werner,
 )
 from conftest import random_density_matrix, random_mixture, random_pure_ket
-from oracles import decompose_kron
+from oracles import compose_kron, decompose_kron
 
 
 def test_validate_accepts_maximally_mixed():
@@ -245,3 +247,57 @@ def test_validate_keeps_the_spectrum_of_its_matrix():
     assert np.array_equal(rho.spectrum.eigenvectors, fresh.eigenvectors)
     with pytest.raises(ValueError):
         rho.spectrum.eigenvalues[0] = 0.0
+
+
+def _same_bits(pd: PauliDecomposition, a: np.ndarray, p: np.ndarray, d: np.ndarray) -> bool:
+    # tobytes also tells -0.0 from 0.0, which np.array_equal does not
+    return pd.A.tobytes() == a.tobytes() and pd.P.tobytes() == p.tobytes() and pd.D.tobytes() == d.tobytes()
+
+
+def test_decompose_keeps_the_sign_of_zero_of_the_kron_route():
+    # sparse pure states put -0.0 in the matrix, so many expectations are
+    # sums of signed zeros; the dense route returns +0.0 for all of them
+    rng = np.random.default_rng(17)
+    signed_zeros = 0
+    for _ in range(300):
+        ket = np.zeros(4, dtype=complex)
+        support = rng.choice(4, int(rng.integers(1, 4)), replace=False)
+        ket[support] = rng.choice([1.0, -1.0, 1j, -1j, 0.5], support.size)
+        ket /= np.linalg.norm(ket)
+        rho = validate(np.outer(ket, ket.conj()))
+        signed_zeros += int(np.any(np.signbit(rho.mat.real) & (rho.mat.real == 0.0)))
+        assert _same_bits(decompose(rho), *decompose_kron(rho.mat))
+    assert signed_zeros > 20
+
+
+def test_decompose_reports_the_first_imaginary_expectation():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1e-3j  # not Hermitian; a DensityMatrix built directly skips validate
+    m[1, 0] = 1e-3j
+    rho = DensityMatrix(m, eig_hermitian(np.eye(4, dtype=complex) / 4))
+    with pytest.raises(NotHermitian, match="imaginary part 2.000e-03"):
+        decompose(rho)
+
+
+def test_singlet_constant_is_the_singlet_decomposition_and_read_only():
+    pd = decompose(singlet())
+    assert _same_bits(SINGLET_PAULI, pd.A, pd.P, pd.D)
+    for part in (SINGLET_PAULI.A, SINGLET_PAULI.P, SINGLET_PAULI.D):
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compose_bitwise_equals_per_call_kron(seed):
+    # shrinking every Pauli component by u in [0, 1] mixes in I/4, so the
+    # decomposition stays physical and compose accepts it
+    rng = np.random.default_rng(seed)
+    states = [random_density_matrix(rng), random_mixture(rng), werner(float(rng.uniform()))]
+    states += [make() for make in NAMED]
+    for rho in states:
+        pd = decompose(rho)
+        u = float(rng.uniform())
+        a, p, d = u * pd.A, u * pd.P, u * pd.D
+        got = compose(PauliDecomposition(A=a, P=p, D=d)).mat
+        assert got.tobytes() == compose_kron(a, p, d).tobytes()
