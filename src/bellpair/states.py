@@ -120,6 +120,7 @@ def decompose(rho: DensityMatrix) -> PauliDecomposition:
     if bad.size:
         raise NotHermitian(f"Pauli expectation has imaginary part {traces.imag[bad[0]]:.3e}")
     parts = traces.real.reshape(3, 5)
+    # contiguous copies: numpy's matmul rounds differently on strided views
     return PauliDecomposition(A=parts[:, 0].copy(), P=parts[:, 1].copy(), D=parts[:, 2:].copy())
 
 

@@ -270,6 +270,20 @@ def test_decompose_keeps_the_sign_of_zero_of_the_kron_route():
     assert signed_zeros > 20
 
 
+def test_decompose_arrays_multiply_like_the_kron_routes():
+    # numpy's matmul rounds differently on strided views than on contiguous
+    # arrays, so equal values alone would not keep downstream results equal
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        rho = random_density_matrix(rng)
+        pd = decompose(rho)
+        a, p, d = decompose_kron(rho.mat)
+        x, y = rng.normal(size=3), rng.normal(size=3)
+        assert (pd.D @ y).tobytes() == (d @ y).tobytes()
+        assert float(x @ pd.D @ y) == float(x @ d @ y)
+        assert float(x @ pd.A) == float(x @ a) and float(y @ pd.P) == float(y @ p)
+
+
 def test_decompose_reports_the_first_imaginary_expectation():
     m = np.eye(4, dtype=complex) / 4
     m[0, 1] = 1e-3j  # not Hermitian; a DensityMatrix built directly skips validate
