@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eig_hermitian, eig_symmetric3, sqrt_spectrum
+from .linalg import Spectrum, eig_symmetric3, eigvals_hermitian, sqrt_spectrum
 from .states import DensityMatrix, SIGMA_Y, decompose, purity
 
 UNIT_TOL = 1e-10
@@ -91,14 +91,10 @@ def tangle(rho: DensityMatrix) -> float:
     spectrum with the non-Hermitian product rho Rt.  sqrt(rho) comes from
     the spectrum that :func:`states.validate` stored on the state.
     """
-    m = rho.mat
-    r_tilde = _YY @ m.conj() @ _YY
     root = sqrt_spectrum(rho.spectrum)
-    prod = root @ r_tilde @ root
-    prod = 0.5 * (prod + prod.conj().T)
-    w = eig_hermitian(prod).eigenvalues
-    lam = np.sqrt(np.clip(w, 0.0, None))
-    return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
+    prod = root @ (_YY @ rho.mat.conj() @ _YY) @ root
+    lam = [math.sqrt(max(x, 0.0)) for x in eigvals_hermitian(0.5 * (prod + prod.conj().T))]
+    return max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
 
 
 def bell_mean(rho: DensityMatrix, dirs: AnalyzerDirections) -> float:

@@ -38,6 +38,7 @@ from .protocol import (
     CountTable,
     EmptyCounts,
     NonpositiveError,
+    NotFinite,
     group_counts,
 )
 
@@ -130,7 +131,7 @@ def load_data(path: str | Path) -> list[ChshDatum]:
     if is_counts_text(text):
         try:
             return group_counts(_parse_counts(text))
-        except (EmptyCounts, NonpositiveError):
+        except (EmptyCounts, NonpositiveError, NotFinite):
             raise  # degenerate data, not a parse problem
         except ValueError as exc:
             if isinstance(exc, FileFormatError):

@@ -2,11 +2,13 @@
 
 Cyclic Jacobi diagonalization for complex Hermitian 4x4 and real symmetric
 3x3 matrices, plus the Hermitian PSD matrix square root.  No LAPACK-backed
-routine is called.  The rotations run on nested lists of Python
-``complex``, so each one is rounded the way CPython rounds scalar complex
-arithmetic and results do not depend on numpy's runtime SIMD dispatch.
-Against version 0.1.0, which rotated numpy array slices, results differ in
-the last bits.
+routine is called.  The checks, rotations, phase fix, sort and tie-break all
+run on nested lists of Python scalars (``float`` for real input), so results
+are rounded as CPython rounds scalars, whatever SIMD loops numpy selects;
+numpy arrays are built once, at the end.  Only the lower triangle and the
+real diagonal are read (LAPACK ``zheev``'s ``UPLO='L'``): the working matrix
+is exactly Hermitian, and each rotation sets rows p and q to the conjugates
+of columns p and q, which is bitwise what the two-sided update gives there.
 """
 from __future__ import annotations
 
@@ -20,10 +22,11 @@ OFFDIAG_TOL = 1e-12
 MAX_SWEEPS = 100
 DEGENERACY_TOL = 1e-12
 PSD_FLOOR = -1e-8
+MAX_ENTRY_SUM = 1e150
 
 
 class NotHermitian(ValueError):
-    """Input matrix is not Hermitian to tolerance (or has non-finite entries)."""
+    """Input matrix is not Hermitian to tolerance (or has non-finite or oversized entries)."""
 
 
 class NotSymmetric(NotHermitian):
@@ -52,9 +55,29 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _check_finite(m: np.ndarray, exc: type[Exception]) -> None:
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise exc("matrix entries must be finite")
+def as_square(m, n: int, dtype: type) -> np.ndarray:
+    """``m`` as an n x n array of ``dtype``; ValueError for any other shape."""
+    m = np.asarray(m, dtype=dtype)
+    if m.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    return m
+
+
+def hermitian_lists(m: np.ndarray, exc: type[NotHermitian] = NotHermitian,
+                    message: str = "matrix is not Hermitian to 1e-10") -> list[list]:
+    """Lower triangle, its conjugate mirror and the real diagonal of a square array.
+    Raises ``exc`` unless the magnitudes are finite and sum to at most 1e150 (the
+    rotations square them), then ``exc(message)`` if max|m - m^dag| > 1e-10."""
+    a = m.tolist()
+    if not sum(sum(map(abs, row)) for row in a) <= MAX_ENTRY_SUM:
+        raise exc("matrix entries must be finite, with magnitudes summing to at most 1e150")
+    if max(abs(x - a[j][i].conjugate()) for i, row in enumerate(a) for j, x in enumerate(row[:i + 1])) > HERMITIAN_TOL:
+        raise exc(message)
+    for i, row in enumerate(a):
+        row[i] = row[i].real
+        for j in range(i):
+            a[j][i] = row[j].conjugate()
+    return a
 
 
 def _offdiag_norm(a: list[list[complex]]) -> float:
@@ -62,38 +85,38 @@ def _offdiag_norm(a: list[list[complex]]) -> float:
                          for j, x in enumerate(row) if i != j))
 
 
-def _rotate(a: list[list[complex]], v: list[list[complex]], p: int, q: int) -> None:
-    """Zero a[p][q] (and a[q][p]) with one unitary plane rotation, in place."""
+def _rotate(a: list[list], v: list[list], p: int, q: int, others: list[int]) -> None:
+    """Zero a[p][q] and a[q][p] in place: A <- J^dag A J, V <- V J, with J the identity
+    except J[p,p]=J[q,q]=c, J[q,p]=s, J[p,q]=-conj(s); ``others`` index the rest."""
     ap, aq = a[p], a[q]
     apq = ap[q]
     r = abs(apq)
     if r == 0.0:
         return
-    phase = apq / r
-    delta = (aq[q] - ap[p]).real
-    phi = delta / (2.0 * r)
+    app, aqq = ap[p], aq[q]
+    phi = (aqq - app) / (2.0 * r)
     # smaller-magnitude root of t^2 - 2 phi t - 1 = 0
     if phi == 0.0:
         t = 1.0
     else:
         t = -math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
     c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c * phase.conjugate()
+    s = t * c * (apq / r).conjugate()
     s_conj = s.conjugate()
 
-    # A <- J^dag A J with J the identity except
-    # J[p,p]=J[q,q]=c, J[q,p]=s, J[p,q]=-conj(s).
-    for row in a:
+    for k in others:
+        row = a[k]
         x, y = row[p], row[q]
-        row[p] = c * x + s * y
-        row[q] = -s_conj * x + c * y
-    for k, (x, y) in enumerate(zip(ap, aq)):
-        ap[k] = c * x + s_conj * y
-        aq[k] = -s * x + c * y
-    # the rotation annihilates the pivot exactly; clear rounding residue
-    ap[q] = aq[p] = 0j
-    ap[p] = complex(ap[p].real)
-    aq[q] = complex(aq[q].real)
+        row[p] = xp = c * x + s * y
+        row[q] = xq = -s_conj * x + c * y
+        ap[k] = xp.conjugate()
+        aq[k] = xq.conjugate()
+    # the pivot block, two-sided; the rotation annihilates the pivot
+    # exactly, so its rounding residue is cleared
+    aqp = aq[p]
+    ap[p] = (c * (c * app + s * apq) + s_conj * (c * aqp + s * aqq)).real
+    aq[q] = (-s * (-s_conj * app + c * apq) + c * (-s_conj * aqp + c * aqq)).real
+    ap[q] = aq[p] = 0.0
 
     for row in v:
         x, y = row[p], row[q]
@@ -101,56 +124,49 @@ def _rotate(a: list[list[complex]], v: list[list[complex]], p: int, q: int) -> N
         row[q] = -s_conj * x + c * y
 
 
-def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps on a complex array until the off-diagonal
-    Frobenius norm dies; the rotations run on nested lists of ``complex``."""
-    n = m.shape[0]
-    a = m.tolist()
-    v = np.eye(n, dtype=complex).tolist()
+def _jacobi(a: list[list], v: list[list] | tuple = ()) -> list[float]:
+    """Sweep until the off-diagonal norm dies; the diagonal.  Rotates ``v`` along."""
+    n = len(a)
+    pivots = [(p, q, [k for k in range(n) if k != p and k != q])
+              for p in range(n - 1) for q in range(p + 1, n)]
     for _ in range(MAX_SWEEPS):
         if _offdiag_norm(a) <= OFFDIAG_TOL:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, v, p, q)
+        for p, q, others in pivots:
+            _rotate(a, v, p, q, others)
     else:
         if _offdiag_norm(a) > OFFDIAG_TOL:
-            raise NoConvergence(
-                f"off-diagonal norm {_offdiag_norm(a):.3e} after {MAX_SWEEPS} sweeps"
-            )
-    return np.array([a[k][k].real for k in range(n)]), np.array(v, dtype=complex)
+            raise NoConvergence(f"off-diagonal norm {_offdiag_norm(a):.3e} after {MAX_SWEEPS} sweeps")
+    return [a[k][k] for k in range(n)]
 
 
-def _fix_phase(col: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry real and positive."""
-    k = int(np.argmax(np.abs(col)))
-    pivot = col[k]
-    if abs(pivot) == 0.0:
-        return col
-    return col * (np.conj(pivot) / abs(pivot))
+def _fix_phase(col: tuple) -> list:
+    """Make the (first) largest-magnitude entry of a unit column real and positive."""
+    mags = list(map(abs, col))
+    r = max(mags)
+    f = col[mags.index(r)].conjugate() / r
+    return [x * f for x in col]
 
 
-def _sorted_spectrum(w: np.ndarray, v: np.ndarray) -> Spectrum:
-    n = len(w)
-    cols = [_fix_phase(v[:, k]) for k in range(n)]
-    order = sorted(range(n), key=lambda k: -w[k])
-
-    def lex_key(k: int) -> tuple[float, ...]:
-        c = cols[k]
-        return tuple(x for pair in zip(c.real, c.imag) for x in pair)
-
-    # break ties inside near-degenerate runs deterministically
+def jacobi_spectrum(a: list[list], dtype: type = complex) -> Spectrum:
+    """Spectrum of working lists from :func:`hermitian_lists`, rotated in place."""
+    n = len(a)
+    v = [[0.0] * k + [1.0] + [0.0] * (n - 1 - k) for k in range(n)]
+    w = _jacobi(a, v)
+    cols = [_fix_phase(col) for col in zip(*v)]
+    order = sorted(range(n), key=w.__getitem__, reverse=True)
+    # break ties inside near-degenerate runs lexicographically
     final: list[int] = []
     i = 0
     while i < n:
         j = i + 1
         while j < n and w[order[i]] - w[order[j]] <= DEGENERACY_TOL:
             j += 1
-        final.extend(sorted(order[i:j], key=lex_key))
+        final += order[i:j] if j == i + 1 else sorted(
+            order[i:j], key=lambda k: [z for x in cols[k] for z in (x.real, x.imag)])
         i = j
-    eigenvalues = np.array([w[k] for k in final])
-    eigenvectors = np.column_stack([cols[k] for k in final])
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return Spectrum(eigenvalues=np.array([w[k] for k in final]),
+                    eigenvectors=np.array([[cols[k][i] for k in final] for i in range(n)], dtype=dtype))
 
 
 def eig_hermitian(m: np.ndarray) -> Spectrum:
@@ -159,28 +175,18 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     Raises NotHermitian if ``max|m - m^dag| > 1e-10`` and NoConvergence if
     the sweep cap is exceeded.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    _check_finite(m, NotHermitian)
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-        raise NotHermitian("matrix is not Hermitian to 1e-10")
-    w, v = _jacobi(m)
-    return _sorted_spectrum(w, v)
+    return jacobi_spectrum(hermitian_lists(as_square(m, 4, complex)))
+
+
+def eigvals_hermitian(m: np.ndarray) -> list[float]:
+    """Descending eigenvalues alone; input and checks as in :func:`eig_hermitian`."""
+    return sorted(_jacobi(hermitian_lists(as_square(m, 4, complex))), reverse=True)
 
 
 def eig_symmetric3(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a real symmetric 3x3 matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    _check_finite(m, NotSymmetric)
-    if np.max(np.abs(m - m.T)) > HERMITIAN_TOL:
-        raise NotSymmetric("matrix is not symmetric to 1e-10")
-    w, v = _jacobi(m.astype(complex))
-    spec = _sorted_spectrum(w, v)
-    # real input and real rotations: the imaginary parts are exactly zero
-    return Spectrum(eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors.real)
+    a = hermitian_lists(as_square(m, 3, float), NotSymmetric, "matrix is not symmetric to 1e-10")
+    return jacobi_spectrum(a, float)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:

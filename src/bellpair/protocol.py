@@ -155,13 +155,16 @@ def estimate_correlation(c: CountTable) -> tuple[float, float]:
     """Correlation estimate and its multinomial 1-sigma error from counts.
 
     E = (N++ + N-- - N+- - N-+) / N_total and
-    sigma = sqrt((1 - E^2) / N_total).
+    sigma = sqrt((1 - E^2) / N_total); NotFinite if N_total overflows a float.
     """
     total = c.total
     if total <= 0:
         raise EmptyCounts("cannot estimate a correlation from zero events")
     e = (c.n_pp + c.n_mm - c.n_pm - c.n_mp) / total
-    sigma = math.sqrt(max(1.0 - e * e, 0.0) / total)
+    try:
+        sigma = math.sqrt(max(1.0 - e * e, 0.0) / total)
+    except OverflowError:
+        raise NotFinite(f"{total} events leave the floating-point range") from None
     return e, sigma
 
 
@@ -186,15 +189,13 @@ def chsh_datum_from_counts(tables: Sequence[CountTable]) -> ChshDatum:
 
 
 def chi_square(data: Sequence[ChshDatum], predictions: Sequence[float]) -> float:
-    """Sum of squared normalized residuals, accumulated in index order."""
+    """Sum of squared normalized residuals, accumulated in index order (dr_exp > 0 by ChshDatum)."""
     if len(data) != len(predictions):
         raise LengthMismatch(f"{len(data)} data rows vs {len(predictions)} predictions")
     if len(data) == 0:
         raise LengthMismatch("need at least one datum")
     total = 0.0
     for datum, pred in zip(data, predictions):
-        if not (datum.dr_exp > 0.0):
-            raise NonpositiveError(f"dr_exp must be positive, got {datum.dr_exp}")
         res = (pred - datum.r_exp) / datum.dr_exp
         total += res * res
     if not math.isfinite(total):

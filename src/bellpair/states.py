@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_TOL, NotHermitian, PSD_FLOOR, Spectrum, eig_hermitian
+from .linalg import NotHermitian, PSD_FLOOR, Spectrum, as_square, hermitian_lists, jacobi_spectrum
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,17 +95,12 @@ class PauliDecomposition:
 
 def validate(mat: np.ndarray) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; wrap on success."""
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise NotHermitian("matrix entries must be finite")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-        raise NotHermitian("density matrix is not Hermitian to 1e-10")
+    m = as_square(mat, 4, complex)
+    a = hermitian_lists(m, message="density matrix is not Hermitian to 1e-10")
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr:.12g}, expected 1")
-    spec = eig_hermitian(m)
+    spec = jacobi_spectrum(a)
     w = spec.eigenvalues
     if np.min(w) < PSD_FLOOR:
         raise NotPositive(f"eigenvalue {np.min(w):.3e} below {PSD_FLOOR}")

@@ -6,15 +6,19 @@ product instead of diagonalizing a Hermitian form, and the fit oracle does
 a brute-force grid search instead of using the closed-form minimizer, and
 the sampler oracle draws through ``Generator.integers`` in one piece and
 bins with ``searchsorted`` instead of counting chunks of raw Philox words.
-The Jacobi oracle rotates numpy array slices instead of nested lists of
-Python ``complex``, and the decomposition and composition oracles build
-their Kronecker products on every call and multiply densely instead of
-gathering from, or adding, a table of products built once at import.
+The Jacobi oracles rotate numpy array slices, or nested lists of Python
+``complex`` with a full two-sided update of every row and column, instead
+of mirroring rows from columns on exactly Hermitian storage, and their
+post-processing phase-fixes and sorts numpy columns instead of lists.  The
+decomposition and composition oracles build their Kronecker products on
+every call and multiply densely instead of gathering from, or adding, a
+table of products built once at import.
 """
 import math
 
 import numpy as np
 
+from bellpair.linalg import DEGENERACY_TOL, MAX_SWEEPS, OFFDIAG_TOL, Spectrum
 from bellpair.protocol import chi_square, chsh_value
 from bellpair.states import singlet
 
@@ -120,6 +124,96 @@ def jacobi_numpy(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
             for q in range(p + 1, n):
                 _rotate_numpy(a, v, p, q)
     return np.diag(a).real.copy(), v
+
+
+def _rotate_two_sided(a: list, v: list, p: int, q: int) -> None:
+    ap, aq = a[p], a[q]
+    apq = ap[q]
+    r = abs(apq)
+    if r == 0.0:
+        return
+    phase = apq / r
+    delta = (aq[q] - ap[p]).real
+    phi = delta / (2.0 * r)
+    if phi == 0.0:
+        t = 1.0
+    else:
+        t = -math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c * phase.conjugate()
+    s_conj = s.conjugate()
+    for row in a:
+        x, y = row[p], row[q]
+        row[p] = c * x + s * y
+        row[q] = -s_conj * x + c * y
+    for k, (x, y) in enumerate(zip(ap, aq)):
+        ap[k] = c * x + s_conj * y
+        aq[k] = -s * x + c * y
+    ap[q] = aq[p] = 0j
+    ap[p] = complex(ap[p].real)
+    aq[q] = complex(aq[q].real)
+    for row in v:
+        x, y = row[p], row[q]
+        row[p] = c * x + s * y
+        row[q] = -s_conj * x + c * y
+
+
+def jacobi_two_sided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unsorted eigenvalues and eigenvectors by cyclic Jacobi on lists of ``complex``.
+
+    Every rotation updates all of columns p and q, then all of rows p and
+    q, of the whole input, both triangles as given.  Same pivot order,
+    rotation formula, pivot clean-up and stopping rule as
+    ``bellpair.linalg._jacobi``.
+    """
+    n = m.shape[0]
+    a = np.asarray(m, dtype=complex).tolist()
+    v = np.eye(n, dtype=complex).tolist()
+
+    def offdiag() -> float:
+        return math.sqrt(sum(abs(x) ** 2 for i, row in enumerate(a)
+                             for j, x in enumerate(row) if i != j))
+
+    for _ in range(MAX_SWEEPS):
+        if offdiag() <= OFFDIAG_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _rotate_two_sided(a, v, p, q)
+    return np.array([a[k][k].real for k in range(n)]), np.array(v, dtype=complex)
+
+
+def _fix_phase(col: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude entry real and positive."""
+    k = int(np.argmax(np.abs(col)))
+    pivot = col[k]
+    if abs(pivot) == 0.0:
+        return col
+    return col * (np.conj(pivot) / abs(pivot))
+
+
+def sorted_spectrum(w: np.ndarray, v: np.ndarray) -> Spectrum:
+    """Phase-fix, sort descending and tie-break unsorted Jacobi output on numpy columns."""
+    n = len(w)
+    cols = [_fix_phase(v[:, k]) for k in range(n)]
+    order = sorted(range(n), key=lambda k: -w[k])
+
+    def lex_key(k: int) -> tuple[float, ...]:
+        c = cols[k]
+        return tuple(x for pair in zip(c.real, c.imag) for x in pair)
+
+    # break ties inside near-degenerate runs deterministically
+    final: list[int] = []
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and w[order[i]] - w[order[j]] <= DEGENERACY_TOL:
+            j += 1
+        final.extend(sorted(order[i:j], key=lex_key))
+        i = j
+    eigenvalues = np.array([w[k] for k in final])
+    eigenvectors = np.column_stack([cols[k] for k in final])
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 _I2 = np.eye(2, dtype=complex)

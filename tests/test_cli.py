@@ -112,6 +112,17 @@ def test_analyze_deeply_nested_state_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "matrix", "re": [[0.25, 1e155, 0, 0], [1e155, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+     "im": [[0.0] * 4] * 4},
+    {"kind": "pauli", "A": [0, 0, 0], "P": [0, 0, 0], "D": [[0, 0, 0], [0, 0, 0], [0, 1e155, 0]]},
+])
+def test_analyze_entries_too_large_for_the_rotations_exit_3(tmp_path, capsys, doc):
+    code, out, err = run(capsys, "analyze", "--state", state_file(tmp_path, doc))
+    assert code == 3 and out == ""
+    assert err == "error: invalid state: matrix entries must be finite, with magnitudes summing to at most 1e150\n"
+
+
 @pytest.mark.parametrize("bad", ["state", "data", "settings"])
 def test_non_utf8_input_files_exit_2(tmp_path, capsys, bad):
     state = state_file(tmp_path, {"kind": "werner", "gamma": 0.9})
@@ -259,6 +270,13 @@ def test_fit_rows_outside_float_range(tmp_path, capsys, row, expected):
     for fmt in ("table", "json", "csv"):
         code, out, err = run(capsys, "fit", "--data", str(data), "--format", fmt)
         assert code == expected and out == "" and err.startswith("error:")
+
+
+def test_fit_counts_beyond_float_range_exit_4(tmp_path, capsys):
+    data = tmp_path / "counts.txt"
+    data.write_text("# format: counts\n" + "".join(f"0, {a}, 1e308, 1e308, 1e308, 0\n" for a in (0, 45, 0, 45)))
+    code, out, err = run(capsys, "fit", "--data", str(data))
+    assert code == 4 and out == "" and "leave the floating-point range" in err
 
 
 def test_simulate_deterministic_and_round_trip(tmp_path, capsys):

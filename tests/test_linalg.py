@@ -9,13 +9,13 @@ from bellpair.linalg import (
     NotHermitian,
     NotPSD,
     NotSymmetric,
-    _sorted_spectrum,
     eig_hermitian,
     eig_symmetric3,
+    eigvals_hermitian,
     sqrt_psd,
 )
-from bellpair.states import werner
-from oracles import jacobi_numpy
+from bellpair.states import validate, werner
+from oracles import jacobi_numpy, jacobi_two_sided, sorted_spectrum
 
 
 def random_hermitian4(rng):
@@ -123,7 +123,7 @@ def test_symmetric3_matches_reference(seed):
 
 def assert_matches_numpy_kernel(m, spec):
     """Eigenvalues to 1e-14; eigenvectors to 1e-13 up to phase where gaps exceed 1e-6."""
-    ref = _sorted_spectrum(*jacobi_numpy(m.astype(complex)))
+    ref = sorted_spectrum(*jacobi_numpy(m.astype(complex)))
     w = ref.eigenvalues
     assert np.max(np.abs(spec.eigenvalues - w)) <= 1e-14
     for k in range(len(w)):
@@ -190,3 +190,84 @@ def test_degenerate_ordering_is_deterministic():
     b = eig_hermitian(m)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def random_state4(rng, rank):
+    """Exactly Hermitian density matrix of the given rank."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T)
+    return m / np.trace(m).real
+
+
+def mirrored_lower(m):
+    """The lower triangle of m, its conjugate mirror and the real diagonal."""
+    low = np.tril(m, -1)
+    return low + low.conj().T + np.diag(np.diag(m).real)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_hermitian4_eigenvalues_bitwise_equal_two_sided_rotations(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = random_state4(rng, rank)
+    for m in (random_hermitian4(rng), rho, werner(rng.uniform()).mat):
+        w = sorted(jacobi_two_sided(m)[0].tolist())
+        assert w == sorted(eig_hermitian(m).eigenvalues.tolist())
+        assert w == sorted(eigvals_hermitian(m))
+    assert sorted(jacobi_two_sided(rho)[0].tolist()) == sorted(validate(rho).spectrum.eigenvalues.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_symmetric3_eigenvalues_bitwise_equal_two_sided_rotations(seed):
+    g = np.random.default_rng(seed).normal(size=(3, 3))
+    m = g + g.T
+    w, _ = jacobi_two_sided(m)
+    assert sorted(w.tolist()) == sorted(eig_symmetric3(m).eigenvalues.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_symmetric3_real_route_bitwise_equal_complex_route(seed):
+    g = np.random.default_rng(seed).normal(size=(3, 3))
+    m = g @ g.T if seed % 2 else g + g.T
+    real = eig_symmetric3(m)
+    cplx = linalg.jacobi_spectrum(linalg.hermitian_lists(m.astype(complex)))
+    assert real.eigenvectors.dtype == np.float64
+    assert np.array_equal(real.eigenvalues, cplx.eigenvalues)
+    assert not np.any(cplx.eigenvectors.imag)
+    assert np.array_equal(real.eigenvectors, cplx.eigenvectors.real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_near_hermitian_input_has_the_spectrum_of_its_mirrored_lower_triangle(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = random_state4(rng, rank)
+    m = rho + 1e-11 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    mirror = mirrored_lower(m)
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+    assert not np.array_equal(m, mirror)
+    for got, want in ((eig_hermitian(m), eig_hermitian(mirror)),
+                      (validate(m).spectrum, validate(mirror).spectrum)):
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_eigenvalues_only_equal_the_sorted_spectrum(seed, rank):
+    rng = np.random.default_rng(seed)
+    for m in (random_hermitian4(rng), random_state4(rng, rank), werner(rng.uniform()).mat, np.eye(4)):
+        assert eigvals_hermitian(m) == sorted(eig_hermitian(m).eigenvalues.tolist(), reverse=True)
+
+
+def test_eigenvalues_only_checks_its_input():
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = 1e-6
+    with pytest.raises(NotHermitian):
+        eigvals_hermitian(m)
+    m[0, 1] = np.inf
+    with pytest.raises(NotHermitian, match="finite"):
+        eigvals_hermitian(m)
