@@ -154,7 +154,7 @@ def horodecki_max(rho: DensityMatrix) -> BellReport:
 
 def violates_chsh(rho: DensityMatrix) -> bool:
     """True iff the maximal CHSH mean value exceeds the classical limit 2."""
-    return horodecki_max(rho).max_violation > BELL_LIMIT
+    return horodecki_max(rho).violates
 
 
 def refine_directions(rho: DensityMatrix, dirs: AnalyzerDirections,

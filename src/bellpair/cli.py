@@ -16,9 +16,10 @@ import functools
 import json
 import math
 import sys
+from typing import NamedTuple, Sequence
 
 from . import __version__
-from .bell import BELL_LIMIT, BellReport, horodecki_max
+from .bell import BELL_LIMIT, horodecki_max
 from .dataset import (
     DATASET_VERSION,
     FLAG_THRESHOLD,
@@ -66,21 +67,69 @@ class CommandError(Exception):
         self.code = code
 
 
-# --- small rendering helpers -------------------------------------------------
+# --- one writer for every output format ----------------------------------------
 
 
-def _sig(x: float) -> str:
-    return format(x, ".4g")
+class _Column(NamedTuple):
+    name: str  # CSV header and JSON key
+    spec: str = ".4g"  # table format of a float cell
+    label: str | None = None  # table header, when it differs from ``name``
 
 
-def _render_table(headers: list[str], rows: list[list[str]], footer: list[str] | None = None) -> str:
+def _write(
+    fmt: str,
+    manifest: dict,
+    body: dict,
+    columns: list[_Column],
+    rows: list[list],
+    comments: Sequence[str] = (),
+    footer: Sequence[str] = (),
+    blocks: Sequence[tuple[str, list[_Column], list[list]]] = (),
+) -> str:
+    """Render one command's output.
+
+    JSON writes the manifest and ``body``.  CSV and the table write ``rows``,
+    whose cells are raw values: a string is written as it is, a float with
+    ``repr`` in CSV and with its column's ``spec`` in the table.  CSV starts
+    with the manifest and ``comments`` as ``#`` lines and ends with each of
+    ``blocks``, a ``(comment, columns, rows)`` triple; the table ends with
+    ``footer``.
+    """
+    if fmt == "json":
+        return json.dumps({"manifest": manifest, **body}, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        text = _render_csv(columns, rows, [*_manifest_comments(manifest), *comments])
+        for comment, block_columns, block_rows in blocks:
+            text += _render_csv(block_columns, block_rows, [comment])
+        return text
+    return _render_table(columns, rows, footer)
+
+
+def _render_csv(columns: list[_Column], rows: list[list], comments: list[str]) -> str:
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(column.name for column in columns))
+    lines.extend(",".join(cell if isinstance(cell, str) else repr(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _table_cell(value, spec: str) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):  # a vector, shown as (x, y, z)
+        return "(" + ", ".join(format(x, spec) for x in value) + ")"
+    return format(value, spec)
+
+
+def _render_table(columns: list[_Column], rows: list[list], footer: Sequence[str]) -> str:
+    headers = [column.label or column.name for column in columns]
+    cells = [[_table_cell(value, column.spec) for value, column in zip(row, columns)] for row in rows]
     widths = [len(h) for h in headers]
-    for row in rows:
+    for row in cells:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
+    for row in cells:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
     if footer:
         lines.append("")
@@ -88,11 +137,10 @@ def _render_table(headers: list[str], rows: list[list[str]], footer: list[str] |
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(header: list[str], rows: list[list[str]], comments: list[str]) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _records(columns: list[_Column], rows: list[list]) -> list[dict]:
+    """The rows as JSON objects keyed by column name."""
+    names = [column.name for column in columns]
+    return [dict(zip(names, row)) for row in rows]
 
 
 def _manifest(command: str, inputs: dict, fmt: str, seed: int | None = None) -> dict:
@@ -114,27 +162,21 @@ def _manifest_comments(manifest: dict) -> list[str]:
     return out
 
 
-def _json_doc(manifest: dict, body: dict) -> str:
-    return json.dumps({"manifest": manifest, **body}, indent=2, allow_nan=False) + "\n"
-
-
-def _vector(v) -> list[float]:
-    return [float(x) for x in v]
-
-
 # --- analyze -----------------------------------------------------------------
 
+# JSON/CSV name and table label of each optimal analyzer direction
+_DIRECTIONS = (("a", "a"), ("a_prime", "a'"), ("b", "b"), ("b_prime", "b'"))
+_QUANTITY_COLUMNS = [_Column("quantity"), _Column("value")]
+_ANALYZE_COLUMNS = [_Column(key) for key in ("tangle", "M", "max_violation", "purity", "violates")]
+_ANALYZE_COLUMNS += [_Column(f"{name}_{axis}") for name, _ in _DIRECTIONS for axis in "xyz"]
 
-def _report_body(report: BellReport) -> dict:
+
+def cmd_analyze(args: argparse.Namespace) -> str:
+    report = horodecki_max(load_state(args.state))
     optimal = None
     if report.optimal is not None:
-        optimal = {
-            "a": _vector(report.optimal.a),
-            "a_prime": _vector(report.optimal.a_prime),
-            "b": _vector(report.optimal.b),
-            "b_prime": _vector(report.optimal.b_prime),
-        }
-    return {
+        optimal = {name: [float(x) for x in getattr(report.optimal, name)] for name, _ in _DIRECTIONS}
+    body = {
         "tangle": report.tangle,
         "M": report.M,
         "max_violation": report.max_violation,
@@ -142,48 +184,27 @@ def _report_body(report: BellReport) -> dict:
         "violates": report.violates,
         "optimal": optimal,
     }
-
-
-def cmd_analyze(args: argparse.Namespace) -> str:
-    state = load_state(args.state)
-    report = horodecki_max(state)
-    manifest = _manifest("analyze", {"state": str(args.state)}, args.format)
-    if args.format == "json":
-        return _json_doc(manifest, _report_body(report))
-    if args.format == "csv":
-        header = ["tangle", "M", "max_violation", "purity", "violates"]
-        row = [repr(report.tangle), repr(report.M), repr(report.max_violation),
-               repr(report.purity), str(report.violates).lower()]
-        for name in ("a", "a_prime", "b", "b_prime"):
-            for axis in "xyz":
-                header.append(f"{name}_{axis}")
-        if report.optimal is not None:
-            for vec in (report.optimal.a, report.optimal.a_prime, report.optimal.b, report.optimal.b_prime):
-                row.extend(repr(float(x)) for x in vec)
+    columns, rows = _ANALYZE_COLUMNS, []  # JSON writes the body alone
+    if args.format == "table":  # one quantity per line
+        columns = _QUANTITY_COLUMNS
+        rows = [[key, body[key]] for key in ("tangle", "purity", "M", "max_violation")]
+        rows.append(["violates_chsh", "yes" if report.violates else "no"])
+        if optimal is None:
+            rows.append(["optimal settings", "undefined (degenerate correlation matrix)"])
         else:
-            row.extend([""] * 12)
-        return _render_csv(header, [row], _manifest_comments(manifest))
-    rows = [
-        ["tangle", _sig(report.tangle)],
-        ["purity", _sig(report.purity)],
-        ["M", _sig(report.M)],
-        ["max_violation", _sig(report.max_violation)],
-        ["violates_chsh", "yes" if report.violates else "no"],
-    ]
-    if report.optimal is not None:
-        for name, vec in (
-            ("a", report.optimal.a),
-            ("a'", report.optimal.a_prime),
-            ("b", report.optimal.b),
-            ("b'", report.optimal.b_prime),
-        ):
-            rows.append([f"optimal {name}", "(" + ", ".join(_sig(float(x)) for x in vec) + ")"])
-    else:
-        rows.append(["optimal settings", "undefined (degenerate correlation matrix)"])
-    return _render_table(["quantity", "value"], rows)
+            rows += [[f"optimal {label}", optimal[name]] for name, label in _DIRECTIONS]
+    elif args.format == "csv":  # one row, the directions split into components
+        row = [report.tangle, report.M, report.max_violation, report.purity, str(report.violates).lower()]
+        for name, _ in _DIRECTIONS:
+            row += optimal[name] if optimal is not None else ["", "", ""]
+        rows = [row]
+    manifest = _manifest("analyze", {"state": str(args.state)}, args.format)
+    return _write(args.format, manifest, body, columns, rows)
 
 
 # --- sweep -------------------------------------------------------------------
+
+_SWEEP_COLUMNS = [_Column(name) for name in ("gamma", "max_violation", "tangle", "purity", "marker")]
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
@@ -196,164 +217,108 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     if intervals >= SWEEP_MAX_ROWS:
         raise CommandError(EXIT_PARSE, f"sweep step {step!r} gives more than {SWEEP_MAX_ROWS} rows")
     n = int(math.floor(intervals))
-    gammas = [min(gmin + k * step, gmax) for k in range(n + 1)]
     rows = []
-    for g in gammas:
+    for k in range(n + 1):
+        g = min(gmin + k * step, gmax)
         report = horodecki_max(werner(g))
-        rows.append((g, report.max_violation, report.tangle, report.purity))
+        rows.append([g, report.max_violation, report.tangle, report.purity, ""])
 
     crossing = None
-    for (g_lo, v_lo, _, _), (g_hi, v_hi, _, _) in zip(rows, rows[1:]):
-        if v_lo <= BELL_LIMIT < v_hi:
-            crossing = (g_lo, g_hi)
+    for below, above in zip(rows, rows[1:]):
+        if below[1] <= BELL_LIMIT < above[1]:
+            crossing = {"below": below[0], "above": above[0]}
             break
-    marker_bell = None
+    comments, footer = [], []
     if crossing is not None:
-        marker_bell = min(range(len(rows)), key=lambda i: abs(rows[i][1] - BELL_LIMIT))
-    marker_ref = None
-    best = min(range(len(rows)), key=lambda i: abs(rows[i][0] - REFERENCE_GAMMA))
-    if abs(rows[best][0] - REFERENCE_GAMMA) <= step / 2:
-        marker_ref = best
-
-    def marker(i: int) -> str:
-        tags = []
-        if i == marker_bell:
-            tags.append("bell-limit")
-        if i == marker_ref:
-            tags.append(f"gamma~{REFERENCE_GAMMA}")
-        return " ".join(tags)
+        min(rows, key=lambda row: abs(row[1] - BELL_LIMIT))[4] = "bell-limit"
+        comments.append(f"bell_limit_crossing: {crossing['below']!r},{crossing['above']!r}")
+        footer.append(f"Bell limit {BELL_LIMIT:g} crossed between gamma={crossing['below']:.4g}"
+                      f" and gamma={crossing['above']:.4g}")
+    nearest = min(rows, key=lambda row: abs(row[0] - REFERENCE_GAMMA))
+    if abs(nearest[0] - REFERENCE_GAMMA) <= step / 2:
+        nearest[4] = f"{nearest[4]} gamma~{REFERENCE_GAMMA}".lstrip()
 
     manifest = _manifest("sweep", {"min": gmin, "max": gmax, "step": step}, args.format)
-    if args.format == "json":
-        body = {
-            "rows": [
-                {
-                    "gamma": g,
-                    "max_violation": v,
-                    "tangle": t,
-                    "purity": p,
-                    "marker": marker(i),
-                }
-                for i, (g, v, t, p) in enumerate(rows)
-            ],
-            "bell_limit_crossing": None
-            if crossing is None
-            else {"below": crossing[0], "above": crossing[1]},
-        }
-        return _json_doc(manifest, body)
-    if args.format == "csv":
-        comments = _manifest_comments(manifest)
-        if crossing is not None:
-            comments.append(f"bell_limit_crossing: {_sig(crossing[0])},{_sig(crossing[1])}")
-        csv_rows = [
-            [repr(g), repr(v), repr(t), repr(p), marker(i)]
-            for i, (g, v, t, p) in enumerate(rows)
-        ]
-        return _render_csv(["gamma", "max_violation", "tangle", "purity", "marker"], csv_rows, comments)
-    table_rows = [
-        [_sig(g), _sig(v), _sig(t), _sig(p), marker(i)]
-        for i, (g, v, t, p) in enumerate(rows)
-    ]
-    footer = []
-    if crossing is not None:
-        footer.append(
-            f"Bell limit {BELL_LIMIT:g} crossed between gamma={_sig(crossing[0])} and gamma={_sig(crossing[1])}"
-        )
-    return _render_table(["gamma", "max_violation", "tangle", "purity", "marker"], table_rows, footer)
+    body = {"rows": _records(_SWEEP_COLUMNS, rows), "bell_limit_crossing": crossing}
+    return _write(args.format, manifest, body, _SWEEP_COLUMNS, rows, comments, footer)
 
 
 # --- table1 ------------------------------------------------------------------
 
+_ANGLE_COLUMNS = [_Column(name, "g") for name in ("phi1", "phi1p", "phi2", "phi2p")]
+_TABLE1_COLUMNS = [
+    *_ANGLE_COLUMNS,
+    *(_Column(name, ".2f") for name in ("case1", "pub1", "case2", "pub2", "r_exp", "dr_exp")),
+    _Column("flags"),
+]
 
-def _table1_rows() -> list[dict]:
+
+def cmd_table1(args: argparse.Namespace) -> str:
     data = embedded_data()
     mixed = decompose(werner(REFERENCE_GAMMA)).D
-    rows = []
-    for i, datum in enumerate(data):
+    records, rows = [], []
+    for datum, pub1, pub2 in zip(data, PUBLISHED_CASE1, PUBLISHED_CASE2):
         s = datum.settings
         case1 = chsh_from_correlation(SINGLET_PAULI.D, s)
         case2 = chsh_from_correlation(mixed, s)
-        rows.append(
+        flag1 = abs(case1 - pub1) > FLAG_THRESHOLD
+        flag2 = abs(case2 - pub2) > FLAG_THRESHOLD
+        records.append(
             {
                 "phi1": s.phi1,
                 "phi1p": s.phi1p,
                 "phi2": s.phi2,
                 "phi2p": s.phi2p,
                 "case1": case1,
-                "case1_published": PUBLISHED_CASE1[i],
-                "case1_flag": abs(case1 - PUBLISHED_CASE1[i]) > FLAG_THRESHOLD,
+                "case1_published": pub1,
+                "case1_flag": flag1,
                 "case2": case2,
-                "case2_published": PUBLISHED_CASE2[i],
-                "case2_flag": abs(case2 - PUBLISHED_CASE2[i]) > FLAG_THRESHOLD,
+                "case2_published": pub2,
+                "case2_flag": flag2,
                 "r_exp": datum.r_exp,
                 "dr_exp": datum.dr_exp,
             }
         )
-    return rows
-
-
-def cmd_table1(args: argparse.Namespace) -> str:
-    rows = _table1_rows()
-    data = embedded_data()
-    chi2_case1 = chi_square(data, [r["case1"] for r in rows])
-    chi2_case2 = chi_square(data, [r["case2"] for r in rows])
-    chi2_case2_published = chi_square(data, list(PUBLISHED_CASE2))
-    manifest = _manifest("table1", {"dataset_version": DATASET_VERSION}, args.format)
-    chi2_body = {
-        "chi2_case1": chi2_case1,
-        "chi2_case2": chi2_case2,
-        "chi2_case2_published_column": chi2_case2_published,
+        flags = [f"case{k}:{r:.4f}!={p:.2f}"
+                 for k, r, p, flagged in ((1, case1, pub1, flag1), (2, case2, pub2, flag2)) if flagged]
+        rows.append([s.phi1, s.phi1p, s.phi2, s.phi2p, case1, pub1, case2, pub2,
+                     datum.r_exp, datum.dr_exp, " ".join(flags)])
+    chi2 = {
+        "chi2_case1": chi_square(data, [r["case1"] for r in records]),
+        "chi2_case2": chi_square(data, [r["case2"] for r in records]),
+        "chi2_case2_published_column": chi_square(data, list(PUBLISHED_CASE2)),
     }
-    if args.format == "json":
-        return _json_doc(manifest, {"rows": rows, **chi2_body})
-    header = ["phi1", "phi1p", "phi2", "phi2p", "case1", "pub1", "case2", "pub2", "r_exp", "dr_exp", "flags"]
-    if args.format == "csv":
-        comments = _manifest_comments(manifest)
-        comments += [f"{k}: {v!r}" for k, v in chi2_body.items()]
-        csv_rows = []
-        for r in rows:
-            flags = _row_flags(r)
-            csv_rows.append(
-                [format(r[k], "g") for k in ("phi1", "phi1p", "phi2", "phi2p")]
-                + [repr(r["case1"]), repr(r["case1_published"]), repr(r["case2"]), repr(r["case2_published"])]
-                + [repr(r["r_exp"]), repr(r["dr_exp"]), flags]
-            )
-        return _render_csv(header, csv_rows, comments)
-    table_rows = []
-    for r in rows:
-        table_rows.append(
-            [format(r[k], "g") for k in ("phi1", "phi1p", "phi2", "phi2p")]
-            + [f"{r['case1']:.2f}", f"{r['case1_published']:.2f}", f"{r['case2']:.2f}", f"{r['case2_published']:.2f}"]
-            + [f"{r['r_exp']:.2f}", f"{r['dr_exp']:.2f}", _row_flags(r)]
-        )
     footer = [
-        f"chi2 case 1 (recomputed)        : {chi2_case1:.2f}",
-        f"chi2 case 2 (recomputed, g=0.9) : {chi2_case2:.2f}",
-        f"chi2 case 2 (published column)  : {chi2_case2_published:.2f}",
+        f"chi2 case 1 (recomputed)        : {chi2['chi2_case1']:.2f}",
+        f"chi2 case 2 (recomputed, g=0.9) : {chi2['chi2_case2']:.2f}",
+        f"chi2 case 2 (published column)  : {chi2['chi2_case2_published_column']:.2f}",
         "flags mark recomputed cells more than 0.005 from the published value",
     ]
-    return _render_table(header, table_rows, footer)
-
-
-def _row_flags(r: dict) -> str:
-    flags = []
-    if r["case1_flag"]:
-        flags.append(f"case1:{r['case1']:.4f}!={r['case1_published']:.2f}")
-    if r["case2_flag"]:
-        flags.append(f"case2:{r['case2']:.4f}!={r['case2_published']:.2f}")
-    return " ".join(flags)
+    manifest = _manifest("table1", {"dataset_version": DATASET_VERSION}, args.format)
+    comments = [f"{k}: {v!r}" for k, v in chi2.items()]
+    return _write(args.format, manifest, {"rows": records, **chi2}, _TABLE1_COLUMNS, rows, comments, footer)
 
 
 # --- fit ---------------------------------------------------------------------
 
+_FIT_COLUMNS = [
+    *_ANGLE_COLUMNS,
+    _Column("r_exp"),
+    _Column("dr_exp"),
+    _Column("singlet_value", label="singlet"),
+    _Column("prediction", label="fit"),
+    _Column("residual"),
+]
+_CURVE_COLUMNS = [_Column("gamma"), _Column("chi2")]
 
-def _chi2_curve(data: list[ChshDatum], singlet_values: tuple[float, ...], step: float = 0.01):
-    n = int(round(1.0 / step))
-    out = []
-    for k in range(n + 1):
-        g = k * step
-        out.append((g, chi_square(data, [g * s for s in singlet_values])))
-    return out
+
+def _chi2_curve(data: list[ChshDatum], singlet_values: tuple[float, ...]) -> list[list]:
+    """chi2 of the model gamma * S_i at gamma = 0, 0.01, ..., 1."""
+    curve = []
+    for k in range(101):
+        g = k * 0.01
+        curve.append([g, chi_square(data, [g * s for s in singlet_values])])
+    return curve
 
 
 def cmd_fit(args: argparse.Namespace) -> str:
@@ -363,67 +328,30 @@ def cmd_fit(args: argparse.Namespace) -> str:
     else:
         data = load_data(args.data)
         source = str(args.data)
-    if not data:
-        raise EmptyData("dataset has no rows")
     result = fit_gamma(data)
     curve = _chi2_curve(data, result.singlet_values)
-    manifest = _manifest("fit", {"data": source}, args.format)
-    residual_rows = [
-        {
-            "phi1": d.settings.phi1,
-            "phi1p": d.settings.phi1p,
-            "phi2": d.settings.phi2,
-            "phi2p": d.settings.phi2p,
-            "r_exp": d.r_exp,
-            "dr_exp": d.dr_exp,
-            "singlet_value": s,
-            "prediction": result.gamma_hat * s,
-            "residual": res,
-        }
+    rows = [
+        [d.settings.phi1, d.settings.phi1p, d.settings.phi2, d.settings.phi2p,
+         d.r_exp, d.dr_exp, s, result.gamma_hat * s, res]
         for d, s, res in zip(data, result.singlet_values, result.residuals)
     ]
-    if args.format == "json":
-        body = {
-            "gamma_hat": result.gamma_hat,
-            "chi2_at_min": result.chi2_at_min,
-            "chi2_case1": result.chi2_case1,
-            "chi2_case2": result.chi2_case2,
-            "residuals": residual_rows,
-            "chi2_curve": [{"gamma": g, "chi2": c} for g, c in curve],
-        }
-        return _json_doc(manifest, body)
-    if args.format == "csv":
-        comments = _manifest_comments(manifest)
-        comments += [
-            f"gamma_hat: {result.gamma_hat!r}",
-            f"chi2_at_min: {result.chi2_at_min!r}",
-            f"chi2_case1: {result.chi2_case1!r}",
-            f"chi2_case2: {result.chi2_case2!r}",
-            "block: residuals",
-        ]
-        header = ["phi1", "phi1p", "phi2", "phi2p", "r_exp", "dr_exp", "singlet_value", "prediction", "residual"]
-        rows = [
-            [format(r["phi1"], "g"), format(r["phi1p"], "g"), format(r["phi2"], "g"), format(r["phi2p"], "g"),
-             repr(r["r_exp"]), repr(r["dr_exp"]), repr(r["singlet_value"]), repr(r["prediction"]), repr(r["residual"])]
-            for r in residual_rows
-        ]
-        text = _render_csv(header, rows, comments)
-        curve_lines = ["# block: chi2_curve", "gamma,chi2"]
-        curve_lines += [f"{g!r},{c!r}" for g, c in curve]
-        return text + "\n".join(curve_lines) + "\n"
-    rows = [
-        [format(r["phi1"], "g"), format(r["phi1p"], "g"), format(r["phi2"], "g"), format(r["phi2p"], "g"),
-         _sig(r["r_exp"]), _sig(r["dr_exp"]), _sig(r["singlet_value"]), _sig(r["prediction"]), _sig(r["residual"])]
-        for r in residual_rows
-    ]
+    summary = {
+        "gamma_hat": result.gamma_hat,
+        "chi2_at_min": result.chi2_at_min,
+        "chi2_case1": result.chi2_case1,
+        "chi2_case2": result.chi2_case2,
+    }
+    body = {**summary, "residuals": _records(_FIT_COLUMNS, rows), "chi2_curve": _records(_CURVE_COLUMNS, curve)}
+    comments = [f"{k}: {v!r}" for k, v in summary.items()] + ["block: residuals"]
     footer = [
-        f"gamma_hat   : {_sig(result.gamma_hat)}",
-        f"chi2 at min : {_sig(result.chi2_at_min)}",
-        f"chi2 case 1 : {_sig(result.chi2_case1)} (gamma=1)",
-        f"chi2 case 2 : {_sig(result.chi2_case2)} (gamma={REFERENCE_GAMMA})",
+        f"gamma_hat   : {result.gamma_hat:.4g}",
+        f"chi2 at min : {result.chi2_at_min:.4g}",
+        f"chi2 case 1 : {result.chi2_case1:.4g} (gamma=1)",
+        f"chi2 case 2 : {result.chi2_case2:.4g} (gamma={REFERENCE_GAMMA})",
     ]
-    header = ["phi1", "phi1p", "phi2", "phi2p", "r_exp", "dr_exp", "singlet", "fit", "residual"]
-    return _render_table(header, rows, footer)
+    manifest = _manifest("fit", {"data": source}, args.format)
+    return _write(args.format, manifest, body, _FIT_COLUMNS, rows, comments, footer,
+                  blocks=[("block: chi2_curve", _CURVE_COLUMNS, curve)])
 
 
 # --- simulate ------------------------------------------------------------------

@@ -73,7 +73,9 @@ def load_state(path: str | Path) -> states.DensityMatrix:
     if kind == "matrix":
         re = _field_array(doc, kind, "re", (4, 4))
         im = _field_array(doc, kind, "im", (4, 4))
-        return states.validate(re + 1j * im)
+        with np.errstate(invalid="ignore"):  # non-finite input is rejected by validate
+            m = re + 1j * im
+        return states.validate(m)
     if kind == "pauli":
         pd = states.PauliDecomposition(
             A=_field_array(doc, kind, "A", (3,)),

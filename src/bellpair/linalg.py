@@ -69,7 +69,11 @@ def hermitian_lists(m: np.ndarray, exc: type[NotHermitian] = NotHermitian,
     Raises ``exc`` unless the magnitudes are finite and sum to at most 1e150 (the
     rotations square them), then ``exc(message)`` if max|m - m^dag| > 1e-10."""
     a = m.tolist()
-    if not sum(sum(map(abs, row)) for row in a) <= MAX_ENTRY_SUM:
+    try:
+        total = sum(sum(map(abs, row)) for row in a)
+    except OverflowError:  # |x| beyond the float range, or CPython's abs of a NaN under a stale errno
+        total = math.inf
+    if not total <= MAX_ENTRY_SUM:
         raise exc("matrix entries must be finite, with magnitudes summing to at most 1e150")
     if max(abs(x - a[j][i].conjugate()) for i, row in enumerate(a) for j, x in enumerate(row[:i + 1])) > HERMITIAN_TOL:
         raise exc(message)

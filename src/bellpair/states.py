@@ -126,9 +126,11 @@ def compose(pd: PauliDecomposition) -> DensityMatrix:
     physical state raise NotPositive.
     """
     m = ID4.copy()
-    for coeff, product in zip(np.column_stack((pd.A, pd.P, pd.D)).ravel(), _PRODUCTS):
-        m += coeff * product
-    return validate(m / 4.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # validate rejects what overflows
+        for coeff, product in zip(np.column_stack((pd.A, pd.P, pd.D)).ravel(), _PRODUCTS):
+            m += coeff * product
+        m = m / 4.0
+    return validate(m)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -119,6 +120,30 @@ def test_analyze_deeply_nested_state_exit_2(tmp_path, capsys):
 ])
 def test_analyze_entries_too_large_for_the_rotations_exit_3(tmp_path, capsys, doc):
     code, out, err = run(capsys, "analyze", "--state", state_file(tmp_path, doc))
+    assert code == 3 and out == ""
+    assert err == "error: invalid state: matrix entries must be finite, with magnitudes summing to at most 1e150\n"
+
+
+_DIAGONAL = "[[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]"
+_ZEROS3 = "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]"
+
+
+@pytest.mark.parametrize("text", [
+    # an im entry beyond the float range: 1j * inf meets 0 * inf
+    '{"kind": "matrix", "re": %s, "im": [[0, 1e400, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}' % _DIAGONAL,
+    # Pauli coefficients whose sum overflows
+    '{"kind": "pauli", "A": [1e308, 1e308, 1e308], "P": [1e308, 1e308, 1e308],'
+    ' "D": [[1e308, 1e308, 1e308], [1e308, 1e308, 1e308], [1e308, 1e308, 1e308]]}',
+    # an infinite Pauli coefficient, which composes to NaN entries
+    '{"kind": "pauli", "A": [1e400, 0, 0], "P": [0, 0, 0], "D": %s}' % _ZEROS3,
+    # a finite entry whose magnitude leaves the float range
+    '{"kind": "matrix", "re": [[0.25, 1.7e308, 0, 0], [1.7e308, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],'
+    ' "im": [[0, 1.7e308, 0, 0], [-1.7e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}',
+], ids=["matrix-im-1e400", "pauli-sum-overflows", "pauli-1e400", "matrix-abs-overflows"])
+def test_non_finite_state_entries_print_only_the_error(tmp_path, capsys, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", "--state", str(path))
     assert code == 3 and out == ""
     assert err == "error: invalid state: matrix entries must be finite, with magnitudes summing to at most 1e150\n"
 
@@ -245,7 +270,7 @@ def test_fit_empty_dataset_exit_4(tmp_path, capsys):
     data = tmp_path / "data.txt"
     data.write_text("# only comments\n")
     code, _, err = run(capsys, "fit", "--data", str(data))
-    assert code == 4 and "error" in err
+    assert code == 4 and err == "error: cannot fit an empty dataset\n"
 
 
 def test_fit_unparseable_exit_2(tmp_path, capsys):
@@ -277,6 +302,49 @@ def test_fit_counts_beyond_float_range_exit_4(tmp_path, capsys):
     data.write_text("# format: counts\n" + "".join(f"0, {a}, 1e308, 1e308, 1e308, 0\n" for a in (0, 45, 0, 45)))
     code, out, err = run(capsys, "fit", "--data", str(data))
     assert code == 4 and out == "" and "leave the floating-point range" in err
+
+
+def test_csv_reads_back_every_float_exactly(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("12.3456789, 0.1, 45, 135, 1.9, 0.2\n")
+    code, out, _ = run(capsys, "fit", "--data", str(data), "--format", "csv")
+    assert code == 0
+    header, row = [line.split(",") for line in out.splitlines() if not line.startswith("#")][:2]
+    assert header[:4] == ["phi1", "phi1p", "phi2", "phi2p"]
+    assert [float(x) for x in row[:4]] == [12.3456789, 0.1, 45.0, 135.0]
+
+    code, out, _ = run(capsys, "sweep", "--format", "csv")
+    assert code == 0
+    comment = next(line for line in out.splitlines() if line.startswith("# bell_limit_crossing: "))
+    code, out, _ = run(capsys, "sweep", "--format", "json")
+    crossing = json.loads(out)["bell_limit_crossing"]
+    assert [float(x) for x in comment.split(": ")[1].split(",")] == [crossing["below"], crossing["above"]]
+
+
+# SHA-256 of stdout for fixed inputs.  A digest that moves is a visible
+# output change, to be announced.  The data has an angle that needs all its
+# digits, so the CSV digests also pin lossless angle fields.
+GOLDEN_DATA = "12.3456789, 0.1, 45, 135, 1.9, 0.2\n50, 0, 25, 75, 2.3, 0.3\n90, 0, 45, 135, 2.2, 0.25\n"
+GOLDEN_DIGESTS = {
+    ("table1", "table"): "79f351e4ef4b949b41d4f0477a89bc65e0aa86a6829e2acf97291bc32fb9c2ba",
+    ("table1", "json"): "caef4d428c458f86916d37ffcfbde78e208502f2ac47b328ac2a13e6b1609a9f",
+    ("table1", "csv"): "514ce6a5959c7bdce30cb98c94db2cb8296e7177303343f5f65bb6fa9817de61",
+    ("fit --embedded", "table"): "c4405173af27e1db8c74b8c96c2ee81bb12516ed7dbb0a0e5ab1e5dbc4b024f5",
+    ("fit --embedded", "json"): "4aa9e42f3d903b934382734f20520d4cc94b3eb3fecc2f23c000dcc17a72a3c6",
+    ("fit --embedded", "csv"): "588bd459fbd9fb38b444ed3c9348c84a5fae0ef252d7519ce3298155aeab9fb5",
+    ("fit --data data.txt", "table"): "9bbdf1d71cec68ef497509dea4d15636377ef48fc942af2d65a863f5d72c6978",
+    ("fit --data data.txt", "json"): "24be86d136e0a74e39070e20c0fdd9fb14266e7bcd237830721e4c5f85fdc35e",
+    ("fit --data data.txt", "csv"): "18543ea5af810fcb5c37644d17a032c0af6ff00f32c0015595533df629eb4c32",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(GOLDEN_DIGESTS))
+def test_golden_output_digests(tmp_path, monkeypatch, capsys, command, fmt):
+    monkeypatch.chdir(tmp_path)  # the manifest names the data file by the path given
+    (tmp_path / "data.txt").write_text(GOLDEN_DATA)
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command, fmt]
 
 
 def test_simulate_deterministic_and_round_trip(tmp_path, capsys):
