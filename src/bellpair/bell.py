@@ -34,10 +34,6 @@ class NonUnitDirection(ValueError):
     """Analyzer direction does not have unit norm to 1e-10."""
 
 
-class DegenerateD(ValueError):
-    """Correlation matrix too close to zero for optimal settings."""
-
-
 def _unit3(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
@@ -97,26 +93,13 @@ def tangle(rho: DensityMatrix) -> float:
     return max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
 
 
-def bell_mean(rho: DensityMatrix, dirs: AnalyzerDirections) -> float:
-    """Mean CHSH combination a.D(b+b') + a'.D(b-b') for given settings."""
-    d = decompose(rho).D
-    return float(dirs.a @ (d @ (dirs.b + dirs.b_prime)) + dirs.a_prime @ (d @ (dirs.b - dirs.b_prime)))
+def _optimal_from_correlation(d: np.ndarray, spec: Spectrum) -> AnalyzerDirections | None:
+    """Optimal settings from D and the spectrum of its Gram matrix D^T D.
 
-
-def optimal_directions(rho: DensityMatrix) -> AnalyzerDirections:
-    """Analyzer settings attaining the maximal CHSH mean value.
-
-    Raises DegenerateD when ``|D c_max| <= 1e-12`` (no preferred settings,
-    e.g. the unpolarized state).  The settings are not unique for
-    degenerate spectra; the deterministic eigenvector ordering from the
-    eigensolver picks one valid representative.
+    None when ``|D c_max| <= 1e-12`` (no preferred settings, e.g. the
+    unpolarized state).  For a degenerate spectrum the eigensolver's
+    deterministic eigenvector order picks one of the optimal settings.
     """
-    d = decompose(rho).D
-    return _optimal_from_correlation(d, eig_symmetric3(d.T @ d))
-
-
-def _optimal_from_correlation(d: np.ndarray, spec: Spectrum) -> AnalyzerDirections:
-    """Optimal settings from D and the spectrum of its Gram matrix D^T D."""
     c1 = spec.eigenvectors[:, 0]
     c2 = spec.eigenvectors[:, 1]
     dc1 = d @ c1
@@ -124,7 +107,7 @@ def _optimal_from_correlation(d: np.ndarray, spec: Spectrum) -> AnalyzerDirectio
     n1 = float(np.sqrt(dc1 @ dc1))
     n2 = float(np.sqrt(dc2 @ dc2))
     if n1 <= DEGENERATE_NORM:
-        raise DegenerateD(f"|D c_max| = {n1:.3e}; optimal settings undefined")
+        return None
     theta = math.atan2(n2, n1)
     b = math.cos(theta) * c1 + math.sin(theta) * c2
     b_prime = math.cos(theta) * c1 - math.sin(theta) * c2
@@ -139,55 +122,10 @@ def horodecki_max(rho: DensityMatrix) -> BellReport:
     gram = eig_symmetric3(d.T @ d)
     gram_eigs = np.clip(gram.eigenvalues, 0.0, None)
     m_val = float(gram_eigs[0] + gram_eigs[1])
-    try:
-        optimal = _optimal_from_correlation(d, gram)
-    except DegenerateD:
-        optimal = None
     return BellReport(
         tangle=tangle(rho),
         M=m_val,
         max_violation=2.0 * math.sqrt(m_val),
         purity=purity(rho),
-        optimal=optimal,
+        optimal=_optimal_from_correlation(d, gram),
     )
-
-
-def violates_chsh(rho: DensityMatrix) -> bool:
-    """True iff the maximal CHSH mean value exceeds the classical limit 2."""
-    return horodecki_max(rho).violates
-
-
-def refine_directions(rho: DensityMatrix, dirs: AnalyzerDirections,
-                      steps: int = 1000) -> AnalyzerDirections:
-    """Locally improve analyzer settings by alternating exact updates.
-
-    With b, b' fixed the optimal a, a' align with D(b+b') and D(b-b');
-    with a, a' fixed the optimal b, b' align with D^T(a+a') and D^T(a-a').
-    Each step is non-decreasing in the CHSH mean, so the iteration climbs
-    to a stationary point (the global maximum from a good start).
-    """
-    d = decompose(rho).D
-    a, ap = dirs.a.copy(), dirs.a_prime.copy()
-    b, bp = dirs.b.copy(), dirs.b_prime.copy()
-    value = -np.inf
-    for _ in range(steps):
-        u = d @ (b + bp)
-        w = d @ (b - bp)
-        a = _normalized_or(u, a)
-        ap = _normalized_or(w, ap)
-        x = d.T @ (a + ap)
-        y = d.T @ (a - ap)
-        b = _normalized_or(x, b)
-        bp = _normalized_or(y, bp)
-        new = float(a @ (d @ (b + bp)) + ap @ (d @ (b - bp)))
-        if new - value < 1e-15:
-            break
-        value = new
-    return AnalyzerDirections(a=a, a_prime=ap, b=b, b_prime=bp)
-
-
-def _normalized_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    n = float(np.sqrt(v @ v))
-    if n <= DEGENERATE_NORM:
-        return fallback
-    return v / n

@@ -6,8 +6,8 @@ fit to CHSH data) and ``simulate`` (seeded coincidence counts).  Output is
 an aligned table by default, or ``--format json``/``--format csv`` for
 machine-readable documents that embed a run manifest.
 
-Exit codes: 0 success, 2 input parse error, 3 invalid state, 4 empty or
-degenerate data.
+Exit codes: 0 success (help and version too), 2 usage, input parse or
+``--out`` write error, 3 invalid state, 4 empty or degenerate data.
 """
 from __future__ import annotations
 
@@ -426,7 +426,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, help or version
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         text = args.func(args)
     except CommandError as exc:
@@ -442,8 +445,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return EXIT_OK

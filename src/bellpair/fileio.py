@@ -126,11 +126,13 @@ def _rows(text: str, build: Callable[[list[str]], object]) -> list:
     return rows
 
 
-def _floats(fields: list[str], n: int) -> list[float]:
+def _floats(fields: list[str], n: int, exact: int = 0) -> list[float]:
+    """``n`` finite numbers; of the last ``exact`` fields, digit strings stay exact ``int``s."""
     if len(fields) != n:
         raise ValueError(f"expected {n} fields, got {len(fields)}")
-    values = [float(f) for f in fields]
-    if not all(math.isfinite(v) for v in values):
+    values = [int(f) if k >= n - exact and f.isascii() and f.isdigit() else float(f)
+              for k, f in enumerate(fields)]
+    if not all(isinstance(v, int) or math.isfinite(v) for v in values):
         raise ValueError("values must be finite")
     return values
 
@@ -158,7 +160,7 @@ def is_counts_text(text: str) -> bool:
 
 
 def _parse_counts(text: str) -> list[CountTable]:
-    return _rows(text, lambda fields: CountTable(*_floats(fields, 6)))
+    return _rows(text, lambda fields: CountTable(*_floats(fields, 6, exact=4)))
 
 
 def counts_text(tables: Sequence[CountTable], header_lines: Sequence[str] = ()) -> str:

@@ -135,12 +135,6 @@ def angle_to_direction(phi: float) -> np.ndarray:
     return np.array([math.sin(rad), 0.0, math.cos(rad)])
 
 
-def correlation(rho: DensityMatrix, phi1: float, phi2: float) -> float:
-    """Joint spin correlation E(phi1, phi2) = a.(D b) for coplanar angles."""
-    d = decompose(rho).D
-    return float(angle_to_direction(phi1) @ d @ angle_to_direction(phi2))
-
-
 def chsh_value(rho: DensityMatrix, s: AngleSettings) -> float:
     """Absolute value of the four-angle CHSH combination for a state."""
     return chsh_from_correlation(decompose(rho).D, s)

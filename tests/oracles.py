@@ -12,15 +12,19 @@ of mirroring rows from columns on exactly Hermitian storage, and their
 post-processing phase-fixes and sorts numpy columns instead of lists.  The
 decomposition and composition oracles build their Kronecker products on
 every call and multiply densely instead of gathering from, or adding, a
-table of products built once at import.
+table of products built once at import; the CHSH mean and the coplanar
+correlation take D from that oracle, not from the ``decompose`` it checks.
+``refine_directions`` climbs to the CHSH optimum by alternating exact
+updates instead of constructing it from the Gram spectrum of D.
 """
 import math
 
 import numpy as np
 
+from bellpair.bell import DEGENERATE_NORM, AnalyzerDirections
 from bellpair.linalg import DEGENERACY_TOL, MAX_SWEEPS, OFFDIAG_TOL, Spectrum
-from bellpair.protocol import chi_square, chsh_value
-from bellpair.states import singlet
+from bellpair.protocol import angle_to_direction, chi_square, chsh_value
+from bellpair.states import DensityMatrix, decompose, singlet
 
 _SY = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SY, _SY)
@@ -240,6 +244,54 @@ def bell_mean_batch(d: np.ndarray, a: np.ndarray, a_prime: np.ndarray,
     plus = (b + b_prime) @ d.T
     minus = (b - b_prime) @ d.T
     return np.einsum("...i,...i->...", a, plus) + np.einsum("...i,...i->...", a_prime, minus)
+
+
+def bell_mean(rho: DensityMatrix, dirs: AnalyzerDirections) -> float:
+    """CHSH mean a.D(b+b') + a'.D(b-b') of one setting: a batch of one."""
+    d = decompose_kron(rho.mat)[2]
+    return float(bell_mean_batch(d, dirs.a, dirs.a_prime, dirs.b, dirs.b_prime))
+
+
+def correlation(rho: DensityMatrix, phi1: float, phi2: float) -> float:
+    """Joint spin correlation E(phi1, phi2) = a.(D b) for coplanar angles."""
+    d = decompose_kron(rho.mat)[2]
+    return float(angle_to_direction(phi1) @ d @ angle_to_direction(phi2))
+
+
+def refine_directions(rho: DensityMatrix, dirs: AnalyzerDirections,
+                      steps: int = 1000) -> AnalyzerDirections:
+    """Locally improve analyzer settings by alternating exact updates.
+
+    With b, b' fixed the optimal a, a' align with D(b+b') and D(b-b');
+    with a, a' fixed the optimal b, b' align with D^T(a+a') and D^T(a-a').
+    Each step is non-decreasing in the CHSH mean, so the iteration climbs
+    to a stationary point (the global maximum from a good start).
+    """
+    d = decompose(rho).D
+    a, ap = dirs.a.copy(), dirs.a_prime.copy()
+    b, bp = dirs.b.copy(), dirs.b_prime.copy()
+    value = -np.inf
+    for _ in range(steps):
+        u = d @ (b + bp)
+        w = d @ (b - bp)
+        a = _normalized_or(u, a)
+        ap = _normalized_or(w, ap)
+        x = d.T @ (a + ap)
+        y = d.T @ (a - ap)
+        b = _normalized_or(x, b)
+        bp = _normalized_or(y, bp)
+        new = float(a @ (d @ (b + bp)) + ap @ (d @ (b - bp)))
+        if new - value < 1e-15:
+            break
+        value = new
+    return AnalyzerDirections(a=a, a_prime=ap, b=b, b_prime=bp)
+
+
+def _normalized_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    n = float(np.sqrt(v @ v))
+    if n <= DEGENERATE_NORM:
+        return fallback
+    return v / n
 
 
 def compose_kron(a: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:

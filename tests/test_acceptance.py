@@ -15,14 +15,7 @@ import time
 
 import numpy as np
 
-from bellpair.bell import (
-    AnalyzerDirections,
-    bell_mean,
-    horodecki_max,
-    refine_directions,
-    tangle,
-    violates_chsh,
-)
+from bellpair.bell import AnalyzerDirections, horodecki_max, tangle
 from bellpair.cli import main
 from bellpair.dataset import (
     PUBLISHED_CASE1,
@@ -35,7 +28,7 @@ from bellpair.protocol import chi_square, chsh_value, fit_gamma
 from bellpair.simulate import SimConfig, simulate
 from bellpair.states import decompose, singlet, werner
 from conftest import random_density_matrix, random_unit3
-from oracles import bell_mean_batch, tangle_charpoly
+from oracles import bell_mean, bell_mean_batch, refine_directions, tangle_charpoly
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 PEAK_SETTINGS = 4  # index of the strongest reference row, E(90,0,45,135)
@@ -115,8 +108,8 @@ def test_criterion_4_horodecki_peak_and_werner_line():
 
 
 def test_criterion_5_violation_threshold():
-    below = violates_chsh(werner(0.70))
-    above = violates_chsh(werner(0.71))
+    below = horodecki_max(werner(0.70)).violates
+    above = horodecki_max(werner(0.71)).violates
     ok = (not below) and above
     assert report(
         5, ok, f"violates(0.70) = {below}, violates(0.71) = {above} (limit at 1/sqrt(2))"

@@ -4,22 +4,12 @@ import numpy as np
 import pytest
 
 import bellpair.bell as bell
-from bellpair.bell import (
-    AnalyzerDirections,
-    DegenerateD,
-    NonUnitDirection,
-    bell_mean,
-    horodecki_max,
-    optimal_directions,
-    refine_directions,
-    tangle,
-    violates_chsh,
-)
+from bellpair.bell import AnalyzerDirections, NonUnitDirection, horodecki_max, tangle
 from bellpair.linalg import sqrt_psd
 from bellpair.protocol import angle_to_direction
 from bellpair.states import decompose, product_state, singlet, unpolarized, validate, werner
 from conftest import haar_unitary2, random_density_matrix, random_mixture, random_unit3
-from oracles import bell_mean_batch, tangle_charpoly
+from oracles import bell_mean, bell_mean_batch, refine_directions, tangle_charpoly
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -116,8 +106,6 @@ def test_horodecki_unpolarized_is_degenerate():
     assert report.max_violation == pytest.approx(0.0, abs=1e-12)
     assert report.optimal is None
     assert not report.violates
-    with pytest.raises(DegenerateD):
-        optimal_directions(unpolarized())
 
 
 def test_horodecki_werner_line():
@@ -131,9 +119,9 @@ def test_horodecki_werner_line():
 
 
 def test_violation_threshold_at_inverse_root_two():
-    assert not violates_chsh(werner(0.70))
-    assert violates_chsh(werner(0.71))
-    assert not violates_chsh(unpolarized())
+    assert not horodecki_max(werner(0.70)).violates
+    assert horodecki_max(werner(0.71)).violates
+    assert not horodecki_max(unpolarized()).violates
 
 
 def test_rank_one_correlation_matrix_settings():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellpair import cli
+from bellpair import __version__, cli
 from bellpair.cli import SWEEP_MAX_ROWS, main
 from bellpair.dataset import PUBLISHED_CASE1
 
@@ -361,6 +361,14 @@ def test_fit_rows_outside_float_range(tmp_path, capsys, row, expected):
         assert code == expected and out == "" and err.startswith("error:")
 
 
+def test_fit_integer_counts_beyond_float_range_exit_4(tmp_path, capsys):
+    data = tmp_path / "counts.txt"
+    big = "9" * 400  # exact as an int; through float this was "values must be finite", exit 2
+    data.write_text("# format: counts\n" + "".join(f"0, {a}, {big}, 1, 1, 0\n" for a in (0, 45, 0, 45)))
+    code, out, err = run(capsys, "fit", "--data", str(data))
+    assert code == 4 and out == "" and "leave the floating-point range" in err
+
+
 def test_fit_counts_beyond_float_range_exit_4(tmp_path, capsys):
     data = tmp_path / "counts.txt"
     data.write_text("# format: counts\n" + "".join(f"0, {a}, 1e308, 1e308, 1e308, 0\n" for a in (0, 45, 0, 45)))
@@ -508,14 +516,11 @@ def test_simulate_rejects_out_of_range_seed(tmp_path, capsys, seed):
     assert code == 2 and out == "" and err == "error: seed must be a 64-bit unsigned integer\n"
 
 
-def _call(argv: list[str]) -> tuple[object, str, str]:
-    """Exit code (or SystemExit code), stdout and stderr of one ``main`` call."""
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -539,7 +544,7 @@ def test_reused_parser_gives_the_output_of_a_fresh_one(tmp_path, monkeypatch):
             ["table1", "--format", fmt],
             ["sweep", "--step", "-1", "--format", fmt],  # exit 2
             ["fit", "--embedded", "--format", fmt],
-            ["fit"],  # usage error: SystemExit(2)
+            ["fit"],  # usage error: exit 2
             ["fit", "--data", str(counts), "--format", fmt],
             [*simulate, "--seed", "7", "--format", fmt],
             [*simulate, "--seed", "-1", "--format", fmt],  # exit 2
@@ -572,6 +577,21 @@ def test_out_writes_identical_text(tmp_path, capsys):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+    assert run(capsys, "--version") == (0, f"bellpair {__version__}\n", "")
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--step", "abc"], ["fit"], ["bogus"], [],
+                                  ["simulate", "--events", "1e3"], ["analyze", "--state"]])
+def test_usage_errors_return_2_with_argparse_text(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: bellpair") and "error: " in err
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", ".", "state.json/out.txt"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    state = state_file(tmp_path, {"kind": "named", "name": "singlet"})
+    path = tmp_path / target
+    code, out, err = run(capsys, "analyze", "--state", state, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1

@@ -4,8 +4,10 @@ documented exit code, never in a traceback, and JSON output is strict.
 State, data, settings and counts files are drawn from strategies that mix
 well-formed documents with deep nesting, huge and non-finite numbers,
 invalid UTF-8, wrong shapes and values of any JSON type where a string is
-expected.  ``cli.main`` runs in-process, so any exception that escapes it
-fails the test with its traceback.
+expected.  The argument vectors mix subcommands and option names with
+values that are non-numeric, huge, negative, repeated or missing, and
+``--out`` targets that cannot be written.  ``cli.main`` runs in-process, so
+any exception that escapes it fails the test with its traceback.
 """
 import contextlib
 import io
@@ -14,6 +16,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -188,3 +191,75 @@ def test_simulate_any_state_and_settings_file_exits_documented(state, setting, e
         settings_path.write_bytes(setting)
         assert_documented(["simulate", "--state", str(state_path), "--settings", str(settings_path),
                            "--events", str(events), "--seed", str(seed)], "counts")
+
+
+# Option values by option name.  Paths are names inside one directory of
+# fixed files, so an example cannot change the inputs of the next one.  Work
+# stays small: at most 200 events per pair, and sweep steps of 1e-2 or
+# coarser unless they are too fine to run at all.
+JUNK = ["abc", "", "nan", "inf", "-inf", "1e400", "-1", "0", "1e308", str(10**30), "0x10", "--"]
+INPUTS = ["state.json", "bad_state.json", "settings.txt", "data.txt", "counts.txt", "empty.txt", "absent.txt", "."]
+OPTION_VALUES = {
+    "--state": INPUTS,
+    "--settings": INPUTS,
+    "--data": INPUTS,
+    "--events": ["1", "200", "0", "-5", "1.5", "abc", ""],
+    "--seed": ["0", "7", "-1", str(2**64 - 1), str(2**64), str(10**30), "abc"],
+    "--min": ["0", "0.5", "1", *JUNK],
+    "--max": ["0", "0.5", "1", *JUNK],
+    "--step": ["0.01", "0.25", "1", "1e-300", *JUNK],
+    "--format": ["table", "json", "csv", "xml"],
+    "--out": ["out.txt", "absent/out.txt", ".", "state.json/out.txt"],
+}
+PATHS = {*INPUTS, *OPTION_VALUES["--out"]}
+FLAGS = ["--embedded", "--help", "-h", "--version", "--bogus"]
+# First tokens: each subcommand with options that run it, which the drawn
+# options follow (a repeated option overrides them) or replace, then an
+# unknown command and an option in the command's place.
+COMMANDS = {
+    "analyze": ["--state", "state.json"],
+    "sweep": [],
+    "table1": [],
+    "fit": ["--embedded"],
+    "simulate": ["--state", "state.json", "--settings", "settings.txt", "--events", "200", "--seed", "7"],
+    "bogus": [],
+    "--format": [],
+}
+
+
+@st.composite
+def argv_lists(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command, *(COMMANDS[command] if draw(st.booleans()) else [])]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(OPTION_VALUES["--out"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        option = draw(st.sampled_from([*OPTION_VALUES, *FLAGS]))
+        argv.append(option)
+        if option in OPTION_VALUES and draw(st.integers(0, 9)):  # else the value is missing
+            argv.append(draw(st.sampled_from(OPTION_VALUES[option])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("argv")
+    (root / "state.json").write_text(json.dumps({"kind": "werner", "gamma": 0.9}))
+    (root / "bad_state.json").write_text(json.dumps({"kind": "werner", "gamma": 2.0}))
+    (root / "settings.txt").write_text("0, 45, 22.5, 67.5\n")
+    (root / "data.txt").write_text("0, 45, 22.5, 67.5, 2.5, 0.3\n")
+    counts = "".join(f"{a}, {b}, 10, 40, 40, 10\n" for a, b in ((0, 22.5), (0, 67.5), (45, 22.5), (45, 67.5)))
+    (root / "counts.txt").write_text("# format: counts\n" + counts)
+    (root / "empty.txt").write_text("# no rows\n")
+    return root
+
+
+@FUZZ
+@given(argv=argv_lists())
+def test_any_argv_exits_documented(argv_dir, argv):
+    argv = [str(argv_dir / a) if a in PATHS else a for a in argv]
+    code, out, err = run_cli(argv)
+    assert code in DOCUMENTED_EXITS, (argv, code, err)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and "error: " in err, (argv, err)

@@ -164,6 +164,24 @@ def test_counts_reject_fractional_counts(tmp_path):
         _parse_counts(path.read_text())
 
 
+def test_counts_above_two_to_the_53_load_exactly(tmp_path):
+    big = 2**53 + 1  # 9007199254740993, which a float rounds to 2**53
+    pairs = AngleSettings(0.0, 90.0, 45.0, 135.0).pairs()
+    tables = [CountTable(p1, p2, big, big - 1, 0, 0) for p1, p2 in pairs]
+    path = write(tmp_path, "c.txt", counts_text(tables))
+    assert "9007199254740993, 9007199254740992, 0, 0" in path.read_text()
+    assert [t.n_pp for t in _parse_counts(path.read_text())] == [big] * 4
+    data = load_data(path)
+    assert data == group_counts(tables)
+    # E = 1 / 2**54 per pair; through float every pair would read E = 0
+    assert data[0].r_exp == 2.0 / 2**54
+
+
+def test_counts_that_are_not_digit_strings_still_parse_as_floats(tmp_path):
+    text = COUNTS_MARKER + "\n0, 0, 1.0, 1e3, +2, 4\n"
+    assert _parse_counts(text) == [CountTable(0.0, 0.0, 1, 1000, 2, 4)]
+
+
 def test_load_settings_pairs_and_quadruples(tmp_path):
     text = "# pairs\n10, 20\n# a CHSH row expands to its four pairs\n90, 0, 45, 135\n"
     pairs = load_settings(write(tmp_path, "s.txt", text))
@@ -182,7 +200,7 @@ def test_load_settings_rejects_other_widths(tmp_path):
 
 
 ANGLES = st.floats(allow_nan=False, allow_infinity=False)
-COUNTS = st.integers(1, 2**53)  # exact as floats; a nonzero count in every cell keeps dr_exp > 0
+COUNTS = st.integers(1, 2**80)  # beyond 2**53 too; a nonzero count in every cell keeps dr_exp > 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,14 +25,13 @@ from bellpair.protocol import (
     chi_square,
     chsh_datum_from_counts,
     chsh_value,
-    correlation,
     estimate_correlation,
     fit_gamma,
     group_counts,
 )
 from bellpair.states import singlet, werner
 from conftest import random_density_matrix
-from oracles import gamma_grid_search
+from oracles import correlation, gamma_grid_search
 
 # regression constant: grid-search minimizer for the embedded dataset
 EMBEDDED_GAMMA_HAT = 0.6919

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpair.protocol import AngleSettings, correlation, estimate_correlation
+from bellpair.protocol import AngleSettings, estimate_correlation
 from bellpair.simulate import (
     CHUNK,
     SimConfig,
@@ -20,7 +20,7 @@ from bellpair.simulate import (
     simulate,
 )
 from bellpair.states import PauliDecomposition, compose, singlet, unpolarized, werner
-from oracles import searchsorted_counts
+from oracles import correlation, searchsorted_counts
 
 sim = importlib.import_module("bellpair.simulate")  # the package attribute is the function
 
@@ -199,7 +199,6 @@ def test_inferred_statistics_reproduce_reference_error_bars():
     # must land within a factor 2 of every published error bar.  The signed
     # combination is used because |.| folds at such low statistics.
     from bellpair.dataset import embedded_data
-    from bellpair.protocol import correlation
 
     rho = werner(0.9)
     for datum in embedded_data():
