@@ -2,9 +2,10 @@
 
 Three quantities characterize a state here:
 
-* the tangle, max{l1 - l2 - l3 - l4, 0} with l_k the descending square
-  roots of the eigenvalues of rho (sigma_y (x) sigma_y) rho* (sigma_y (x)
-  sigma_y) -- the spin-flip overlap spectrum;
+* the tangle, max{l1 - l2 - l3 - l4, 0} with l_k the descending singular
+  values of tau = Psi^T (sigma_y (x) sigma_y) Psi for any factor
+  rho = Psi Psi^dag (Wootters, PRL 80, 2245, 1998) -- the spin-flip
+  overlap spectrum;
 * the maximal CHSH mean value 2 sqrt(M), with M the sum of the two largest
   eigenvalues of D D^T (Horodecki criterion);
 * the purity Tr(rho^2).
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eig_symmetric3, eigvals_hermitian, sqrt_spectrum
+from .linalg import Spectrum, eig_symmetric3, eigvals_hermitian
 from .states import DensityMatrix, SIGMA_Y, decompose, purity
 
 UNIT_TOL = 1e-10
@@ -81,15 +82,17 @@ class BellReport:
 def tangle(rho: DensityMatrix) -> float:
     """Spin-flip entanglement measure in [0, 1]; 0 for separable states.
 
-    Evaluated through the Hermitian form: the l_k are the square roots of
-    the eigenvalues of sqrt(rho) Rt sqrt(rho) with
-    Rt = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y), which shares its
-    spectrum with the non-Hermitian product rho Rt.  sqrt(rho) comes from
-    the spectrum that :func:`states.validate` stored on the state.
+    Wootters' factor route: with Psi = V sqrt(w) from the spectrum that
+    :func:`states.validate` stored on the state, the l_k are the singular
+    values of tau = Psi^T (sigma_y (x) sigma_y) Psi, taken as the square
+    roots of the eigenvalues of tau^dag tau.  tau is quadratic in Psi, so
+    rounding noise in a null eigenvalue w of rho moves the l_k by about w,
+    not sqrt(w), and rank-deficient states keep rounding accuracy.
     """
-    root = sqrt_spectrum(rho.spectrum)
-    prod = root @ (_YY @ rho.mat.conj() @ _YY) @ root
-    lam = [math.sqrt(max(x, 0.0)) for x in eigvals_hermitian(0.5 * (prod + prod.conj().T))]
+    w = rho.spectrum.eigenvalues
+    psi = rho.spectrum.eigenvectors * np.sqrt(np.clip(w, 0.0, None))
+    tau = psi.T @ _YY @ psi
+    lam = [math.sqrt(max(x, 0.0)) for x in eigvals_hermitian(tau.conj().T @ tau)]
     return max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
 
 

@@ -28,7 +28,7 @@ from .dataset import (
     embedded_data,
 )
 from .fileio import FileFormatError, counts_text, load_data, load_settings, load_state
-from .linalg import NotHermitian, NotPSD
+from .linalg import NotHermitian
 from .protocol import (
     REFERENCE_GAMMA,
     ChshDatum,
@@ -44,7 +44,6 @@ from .protocol import (
 from .simulate import SimConfig, SimConfigError, simulate
 from .states import (
     SINGLET_PAULI,
-    BlochVectorTooLong,
     GammaOutOfRange,
     NotPositive,
     TraceNotOne,
@@ -438,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotHermitian, TraceNotOne, NotPositive, NotPSD, GammaOutOfRange, BlochVectorTooLong) as exc:
+    except (NotHermitian, TraceNotOne, NotPositive, GammaOutOfRange) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_STATE
     except (EmptyData, EmptyCounts, NonpositiveError, NotFinite, LengthMismatch) as exc:
@@ -448,8 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.out, "w", newline="\n") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            print(f"error: cannot write {args.out}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return EXIT_PARSE
     else:
         sys.stdout.write(text)

@@ -107,7 +107,7 @@ def load_state(path: str | Path) -> states.DensityMatrix:
 def _read_text(path: str | Path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad UTF-8 and a NUL byte in the path
         raise FileFormatError(f"cannot read {what} file {path}: {exc}") from None
 
 

@@ -199,19 +199,10 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-8, 0) are treated as rounding noise and clamped to
     zero; anything below -1e-8 raises NotPSD.
     """
-    return sqrt_spectrum(eig_hermitian(m))
-
-
-def sqrt_spectrum(spec: Spectrum) -> np.ndarray:
-    """Hermitian square root of the PSD matrix with spectrum ``spec``.
-
-    The step behind :func:`sqrt_psd`, for callers that already hold the
-    spectrum; the same clamping and NotPSD rule apply.
-    """
+    spec = eig_hermitian(m)
     w = spec.eigenvalues
     if np.min(w) < PSD_FLOOR:
         raise NotPSD(f"eigenvalue {np.min(w):.3e} below PSD floor {PSD_FLOOR}")
-    w = np.clip(w, 0.0, None)
     v = spec.eigenvectors
-    root = (v * np.sqrt(w)) @ v.conj().T
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return 0.5 * (root + root.conj().T)

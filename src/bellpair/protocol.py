@@ -159,7 +159,7 @@ def estimate_correlation(c: CountTable) -> tuple[float, float]:
     try:
         sigma = math.sqrt(max(1.0 - e * e, 0.0) / total)
     except OverflowError:
-        raise NotFinite(f"{total} events leave the floating-point range") from None
+        raise NotFinite(f"event totals of {total.bit_length()} bits leave the floating-point range") from None
     return e, sigma
 
 

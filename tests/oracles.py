@@ -1,8 +1,10 @@
 """Independent cross-check routes, used only by the tests.
 
-Each oracle deliberately avoids the code path it checks: the tangle oracle
+Each oracle deliberately avoids the code path it checks: one tangle oracle
 roots the quartic characteristic polynomial of the non-Hermitian spin-flip
-product instead of diagonalizing a Hermitian form, and the fit oracle does
+product instead of diagonalizing a Hermitian form, the other takes a 40-digit
+mpmath SVD of the generator's own factor instead of one rebuilt from a
+floating-point spectrum, and the fit oracle does
 a brute-force grid search instead of using the closed-form minimizer, and
 the sampler oracle draws through ``Generator.integers`` in one piece and
 bins with ``searchsorted`` instead of counting chunks of raw Philox words.
@@ -19,6 +21,7 @@ updates instead of constructing it from the Gram spectrum of D.
 """
 import math
 
+import mpmath
 import numpy as np
 
 from bellpair.bell import DEGENERATE_NORM, AnalyzerDirections
@@ -52,6 +55,21 @@ def tangle_charpoly(rho_mat: np.ndarray) -> float:
     roots = np.roots(coeffs)
     lam = np.sort(np.sqrt(np.clip(roots.real, 0.0, None)))[::-1]
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
+
+
+def tangle_factor_mp(g: np.ndarray) -> float:
+    """Tangle of rho = g g^dag / Tr(g g^dag) for a 4 x r factor ``g``.
+
+    The l_k are the singular values of g^T (sigma_y (x) sigma_y) g / Tr(g g^dag)
+    (Wootters, PRL 80, 2245, 1998), taken at 40 significant digits; missing
+    ones are zero.
+    """
+    with mpmath.workdps(40):
+        f = mpmath.matrix(g.tolist())
+        norm = sum(abs(x) ** 2 for x in f)
+        tau = f.T * mpmath.matrix(_YY.tolist()) * f / norm
+        lam = sorted(mpmath.svd_c(tau, compute_uv=False), reverse=True) + [0] * (4 - tau.rows)
+        return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
 
 
 def gamma_grid_search(data, step: float = 1e-4) -> tuple[float, float]:

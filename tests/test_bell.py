@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-import bellpair.bell as bell
 from bellpair.bell import AnalyzerDirections, NonUnitDirection, horodecki_max, tangle
-from bellpair.linalg import sqrt_psd
 from bellpair.protocol import angle_to_direction
-from bellpair.states import decompose, product_state, singlet, unpolarized, validate, werner
+from bellpair.states import DensityMatrix, decompose, product_state, singlet, unpolarized, validate, werner
 from conftest import haar_unitary2, random_density_matrix, random_mixture, random_unit3
-from oracles import bell_mean, bell_mean_batch, refine_directions, tangle_charpoly
+from oracles import bell_mean, bell_mean_batch, refine_directions, tangle_charpoly, tangle_factor_mp
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -173,12 +171,46 @@ def test_report_exposes_purity_and_tangle():
     assert report.tangle == pytest.approx(0.85, abs=1e-10)
 
 
-def test_tangle_from_stored_spectrum_equals_fresh_sqrt_psd(monkeypatch):
+def test_tangle_reads_only_the_stored_spectrum():
     rng = np.random.default_rng(20261018)
     states = [random_density_matrix(rng) for _ in range(20)]
     states += [random_mixture(rng) for _ in range(20)]
     states += [singlet(), unpolarized(), werner(0.9), werner(0.3)]
-    stored = [tangle(rho) for rho in states]
-    for rho, value in zip(states, stored):
-        monkeypatch.setattr(bell, "sqrt_spectrum", lambda spec, m=rho.mat: sqrt_psd(m))
-        assert tangle(rho) == value
+    for rho in states:
+        blank = DensityMatrix(np.zeros((4, 4), dtype=complex), rho.spectrum)
+        assert tangle(blank) == tangle(rho)
+
+
+def random_factor_state(rng: np.random.Generator, rank: int):
+    """A state of the given rank, with the 4 x rank factor g it is built from."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    return validate(m / np.trace(m).real), g
+
+
+@pytest.mark.parametrize("rank, bound", [(1, 1e-14), (2, 1e-11), (3, 1e-11), (4, 1e-11)])
+def test_tangle_matches_the_mpmath_factor_oracle(rank, bound):
+    rng = np.random.default_rng(300 + rank)
+    worst = 0.0
+    for _ in range(100):
+        rho, g = random_factor_state(rng, rank)
+        worst = max(worst, abs(tangle(rho) - tangle_factor_mp(g)))
+    assert worst <= bound
+
+
+def test_tangle_of_pure_product_states_is_zero_to_rounding():
+    rng = np.random.default_rng(305)
+    worst = 0.0
+    for _ in range(100):
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket = np.kron(a, b)
+        rho = validate(np.outer(ket, ket.conj()) / np.vdot(ket, ket).real)
+        worst = max(worst, abs(tangle(rho) - tangle_factor_mp(ket[:, None])))
+    assert worst <= 1e-14
+
+
+def test_tangle_follows_the_werner_line_to_rounding():
+    for k in range(1001):
+        g = k / 1000
+        assert abs(tangle(werner(g)) - max((3 * g - 1) / 2, 0.0)) <= 1e-14

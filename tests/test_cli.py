@@ -12,6 +12,7 @@ import pytest
 from bellpair import __version__, cli
 from bellpair.cli import SWEEP_MAX_ROWS, main
 from bellpair.dataset import PUBLISHED_CASE1
+from bellpair.states import werner
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -175,6 +176,27 @@ def test_non_utf8_input_files_exit_2(tmp_path, capsys, bad):
         argv += ["--events", "10", "--seed", "1"]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_nul_byte_input_paths_exit_2(tmp_path, capsys, command):
+    state = state_file(tmp_path, {"kind": "werner", "gamma": 0.9})
+    argv = {"fit": ["fit", "--data", "a\x00b"],
+            "simulate": ["simulate", "--state", state, "--settings", "s\x00", "--events", "1", "--seed", "1"]}
+    code, out, err = run(capsys, *argv[command])
+    assert code == 2 and out == "" and err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_analyze_accepts_anti_hermitian_noise_inside_the_rule(tmp_path, capsys):
+    # validate accepts this file; the Pauli expectations of its stored
+    # matrix are exactly real, so analyze must not reject it later
+    m = werner(0.9).mat.copy()
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        m[i, j] += 0.45e-10j
+    path = state_file(tmp_path, {"kind": "matrix", "re": m.real.tolist(), "im": m.imag.tolist()})
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, "analyze", "--state", path, "--format", fmt)
+        assert code == 0 and err == "" and out
 
 
 def test_sweep_endpoints_and_crossing(capsys):
@@ -365,6 +387,15 @@ def test_fit_integer_counts_beyond_float_range_exit_4(tmp_path, capsys):
     data = tmp_path / "counts.txt"
     big = "9" * 400  # exact as an int; through float this was "values must be finite", exit 2
     data.write_text("# format: counts\n" + "".join(f"0, {a}, {big}, 1, 1, 0\n" for a in (0, 45, 0, 45)))
+    code, out, err = run(capsys, "fit", "--data", str(data))
+    assert code == 4 and out == "" and "leave the floating-point range" in err
+
+
+def test_fit_counts_of_4300_digits_exit_4(tmp_path, capsys):
+    # the total must not be converted to a decimal string in the message
+    data = tmp_path / "counts.txt"
+    big = "9" * 4300
+    data.write_text("# format: counts\n" + "".join(f"0, {a}, {big}, {big}, {big}, {big}\n" for a in (0, 45, 0, 45)))
     code, out, err = run(capsys, "fit", "--data", str(data))
     assert code == 4 and out == "" and "leave the floating-point range" in err
 
@@ -588,7 +619,7 @@ def test_usage_errors_return_2_with_argparse_text(capsys, argv):
     assert err.startswith("usage: bellpair") and "error: " in err
 
 
-@pytest.mark.parametrize("target", ["missing/out.txt", ".", "state.json/out.txt"])
+@pytest.mark.parametrize("target", ["missing/out.txt", ".", "state.json/out.txt", "nul\x00byte.txt"])
 def test_unwritable_out_exits_2(tmp_path, capsys, target):
     state = state_file(tmp_path, {"kind": "named", "name": "singlet"})
     path = tmp_path / target

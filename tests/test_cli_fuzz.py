@@ -6,8 +6,9 @@ well-formed documents with deep nesting, huge and non-finite numbers,
 invalid UTF-8, wrong shapes and values of any JSON type where a string is
 expected.  The argument vectors mix subcommands and option names with
 values that are non-numeric, huge, negative, repeated or missing, and
-``--out`` targets that cannot be written.  ``cli.main`` runs in-process, so
-any exception that escapes it fails the test with its traceback.
+input and ``--out`` paths that cannot be opened, one with a NUL byte among
+them.  ``cli.main`` runs in-process, so any exception that escapes it fails
+the test with its traceback.
 """
 import contextlib
 import io
@@ -198,7 +199,8 @@ def test_simulate_any_state_and_settings_file_exits_documented(state, setting, e
 # stays small: at most 200 events per pair, and sweep steps of 1e-2 or
 # coarser unless they are too fine to run at all.
 JUNK = ["abc", "", "nan", "inf", "-inf", "1e400", "-1", "0", "1e308", str(10**30), "0x10", "--"]
-INPUTS = ["state.json", "bad_state.json", "settings.txt", "data.txt", "counts.txt", "empty.txt", "absent.txt", "."]
+INPUTS = ["state.json", "bad_state.json", "settings.txt", "data.txt", "counts.txt", "empty.txt", "absent.txt", ".",
+          "nul\x00byte.txt"]
 OPTION_VALUES = {
     "--state": INPUTS,
     "--settings": INPUTS,
@@ -209,7 +211,7 @@ OPTION_VALUES = {
     "--max": ["0", "0.5", "1", *JUNK],
     "--step": ["0.01", "0.25", "1", "1e-300", *JUNK],
     "--format": ["table", "json", "csv", "xml"],
-    "--out": ["out.txt", "absent/out.txt", ".", "state.json/out.txt"],
+    "--out": ["out.txt", "absent/out.txt", ".", "state.json/out.txt", "out\x00.txt"],
 }
 PATHS = {*INPUTS, *OPTION_VALUES["--out"]}
 FLAGS = ["--embedded", "--help", "-h", "--version", "--bogus"]

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from bellpair.bell import tangle
 from bellpair.linalg import NotHermitian, eig_hermitian
 from bellpair.states import (
+    _GATHER,
+    _PHASES,
     SINGLET_PAULI,
-    BlochVectorTooLong,
-    DensityMatrix,
     GammaOutOfRange,
     NotPositive,
     PauliDecomposition,
@@ -199,7 +199,8 @@ def test_product_state_decomposition_is_outer_product():
 
 
 def test_product_state_rejects_long_bloch_vector():
-    with pytest.raises(BlochVectorTooLong):
+    # the eigenvalues of rho_a (x) rho_p are (1 +- |a|)(1 +- |p|)/4
+    with pytest.raises(NotPositive):
         product_state(np.array([0.0, 0.0, 1.1]), np.zeros(3))
 
 
@@ -284,13 +285,19 @@ def test_decompose_arrays_multiply_like_the_kron_routes():
         assert float(x @ pd.A) == float(x @ a) and float(y @ pd.P) == float(y @ p)
 
 
-def test_decompose_reports_the_first_imaginary_expectation():
-    m = np.eye(4, dtype=complex) / 4
-    m[0, 1] = 1e-3j  # not Hermitian; a DensityMatrix built directly skips validate
-    m[1, 0] = 1e-3j
-    rho = DensityMatrix(m, eig_hermitian(np.eye(4, dtype=complex) / 4))
-    with pytest.raises(NotHermitian, match="imaginary part 2.000e-03"):
-        decompose(rho)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), noise=st.floats(0.0, 2e-11))
+def test_validated_matrix_is_exactly_hermitian_and_its_expectations_real(seed, rank, noise):
+    # anti-Hermitian noise inside the 1e-10 rule: validate accepts the input
+    # and keeps its mirrored lower triangle
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = validate(m / np.trace(m).real + noise * (x - x.conj().T) / np.max(np.abs(x - x.conj().T)))
+    assert np.array_equal(rho.mat, rho.mat.conj().T)
+    t = rho.mat.ravel()[_GATHER] * _PHASES  # the terms decompose sums, in its order
+    assert np.all(((t[:, 0] + t[:, 1]) + (t[:, 2] + t[:, 3])).imag == 0.0)
 
 
 def test_singlet_constant_is_the_singlet_decomposition_and_read_only():
@@ -314,4 +321,8 @@ def test_compose_bitwise_equals_per_call_kron(seed):
         u = float(rng.uniform())
         a, p, d = u * pd.A, u * pd.P, u * pd.D
         got = compose(PauliDecomposition(A=a, P=p, D=d)).mat
-        assert got.tobytes() == compose_kron(a, p, d).tobytes()
+        dense = compose_kron(a, p, d)
+        # validate keeps the mirrored lower triangle, whose upper imaginary
+        # zeros are -0.0 where the dense sum has +0.0
+        assert np.array_equal(got, dense)
+        assert got.tobytes() == validate(dense).mat.tobytes()
