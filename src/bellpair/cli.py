@@ -34,7 +34,6 @@ from .protocol import (
     ChshDatum,
     EmptyCounts,
     EmptyData,
-    LengthMismatch,
     NonpositiveError,
     NotFinite,
     chi_square,
@@ -60,10 +59,8 @@ EXIT_EMPTY = 4
 SWEEP_MAX_ROWS = 10_001
 
 
-class CommandError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class CommandError(ValueError):
+    """Command-line arguments that parse but make no valid command."""
 
 
 # --- one writer for every output format ----------------------------------------
@@ -209,12 +206,12 @@ _SWEEP_COLUMNS = [_Column(name) for name in ("gamma", "max_violation", "tangle",
 def cmd_sweep(args: argparse.Namespace) -> str:
     gmin, gmax, step = args.min, args.max, args.step
     if not all(map(math.isfinite, (gmin, gmax, step))):
-        raise CommandError(EXIT_PARSE, "sweep needs finite --min, --max and --step")
+        raise CommandError("sweep needs finite --min, --max and --step")
     if not (0.0 <= gmin <= gmax <= 1.0) or step <= 0.0:
-        raise CommandError(EXIT_PARSE, "sweep needs 0 <= min <= max <= 1 and step > 0")
+        raise CommandError("sweep needs 0 <= min <= max <= 1 and step > 0")
     intervals = (gmax - gmin) / step + 1e-9
     if intervals >= SWEEP_MAX_ROWS:
-        raise CommandError(EXIT_PARSE, f"sweep step {step!r} gives more than {SWEEP_MAX_ROWS} rows")
+        raise CommandError(f"sweep step {step!r} gives more than {SWEEP_MAX_ROWS} rows")
     n = int(math.floor(intervals))
     rows = []
     for k in range(n + 1):
@@ -431,16 +428,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         text = args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (FileFormatError, SimConfigError) as exc:
+    except (CommandError, FileFormatError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NotHermitian, TraceNotOne, NotPositive, GammaOutOfRange) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_STATE
-    except (EmptyData, EmptyCounts, NonpositiveError, NotFinite, LengthMismatch) as exc:
+    except (EmptyData, EmptyCounts, NonpositiveError, NotFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     if args.out:

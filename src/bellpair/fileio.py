@@ -147,10 +147,11 @@ def load_data(path: str | Path) -> list[ChshDatum]:
     text = _read_text(path, "data")
     if not is_counts_text(text):
         return _rows(text, _datum)
+    tables = _parse_counts(text)
     try:
-        return group_counts(_parse_counts(text))
-    except (EmptyCounts, NonpositiveError, NotFinite, FileFormatError):
-        raise  # degenerate data, or a row that does not parse
+        return group_counts(tables)
+    except (EmptyCounts, NonpositiveError, NotFinite):
+        raise  # degenerate data
     except ValueError as exc:
         raise FileFormatError(f"counts file does not group into CHSH settings: {exc}") from None
 

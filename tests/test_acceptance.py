@@ -11,7 +11,9 @@ single gamma reproduces the column (row 6 needs gamma < 0.90002 while row 3
 needs gamma >= 0.90014).
 """
 import math
+import runpy
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -24,14 +26,13 @@ from bellpair.dataset import (
     PUBLISHED_CHI2_CASE2,
     embedded_data,
 )
-from bellpair.protocol import chi_square, chsh_value, fit_gamma
-from bellpair.simulate import SimConfig, simulate
+from bellpair.protocol import chi_square, chsh_value
 from bellpair.states import decompose, singlet, werner
 from conftest import random_density_matrix, random_unit3
 from oracles import bell_mean, bell_mean_batch, refine_directions, tangle_charpoly
 
 ROOT8 = 2.0 * math.sqrt(2.0)
-PEAK_SETTINGS = 4  # index of the strongest reference row, E(90,0,45,135)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -161,24 +162,11 @@ def test_criterion_7_random_search_ceiling_and_refinement():
     )
 
 
-def _fitted_gammas(n_events: int, seeds: range) -> list[float]:
-    rho = werner(0.9)
-    pairs = embedded_data()[PEAK_SETTINGS].settings.pairs()
-    out = []
-    for seed in seeds:
-        cfg = SimConfig(state=rho, settings=pairs, events_per_setting=n_events, seed=seed)
-        tables = simulate(cfg)
-        from bellpair.protocol import chsh_datum_from_counts
-
-        datum = chsh_datum_from_counts(tables)
-        out.append(fit_gamma([datum]).gamma_hat)
-    return out
-
-
 def test_criterion_8_estimator_statistics():
+    fitted_gammas = runpy.run_path(str(SCRIPTS / "estimator_statistics.py"))["fitted_gammas"]
     start = time.perf_counter()
-    gammas_large = _fitted_gammas(1_000_000, range(100))
-    gammas_small = _fitted_gammas(10_000, range(100))
+    gammas_large = fitted_gammas(0.9, 1_000_000, range(100))
+    gammas_small = fitted_gammas(0.9, 10_000, range(100))
     mean_large = float(np.mean(gammas_large))
     spread_ratio = float(np.std(gammas_small, ddof=1) / np.std(gammas_large, ddof=1))
     elapsed = time.perf_counter() - start

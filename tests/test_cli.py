@@ -64,6 +64,9 @@ def test_analyze_unpolarized_has_no_optimal(tmp_path, capsys):
     assert doc["purity"] == pytest.approx(0.25, abs=1e-12)
     assert doc["violates"] is False
     assert doc["optimal"] is None
+    code, out, _ = run(capsys, "analyze", "--state", path)
+    assert code == 0
+    assert "optimal settings  undefined (degenerate correlation matrix)\n" in out
 
 
 def test_analyze_csv_embeds_manifest(tmp_path, capsys):
@@ -188,15 +191,17 @@ def test_nul_byte_input_paths_exit_2(tmp_path, capsys, command):
 
 
 def test_analyze_accepts_anti_hermitian_noise_inside_the_rule(tmp_path, capsys):
-    # validate accepts this file; the Pauli expectations of its stored
-    # matrix are exactly real, so analyze must not reject it later
-    m = werner(0.9).mat.copy()
-    for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
-        m[i, j] += 0.45e-10j
-    path = state_file(tmp_path, {"kind": "matrix", "re": m.real.tolist(), "im": m.imag.tolist()})
-    for fmt in ("table", "json", "csv"):
-        code, out, err = run(capsys, "analyze", "--state", path, "--format", fmt)
-        assert code == 0 and err == "" and out
+    # validate accepts these files; the Pauli expectations of its stored
+    # matrix are exactly real, so analyze must not reject them later.  On the
+    # diagonal the noise sums past 1e-10, which the stored real trace ignores.
+    for cells in (((0, 1), (1, 0), (2, 3), (3, 2)), ((0, 0), (1, 1), (2, 2))):
+        m = werner(0.9).mat.copy()
+        for i, j in cells:
+            m[i, j] += 0.45e-10j
+        path = state_file(tmp_path, {"kind": "matrix", "re": m.real.tolist(), "im": m.imag.tolist()})
+        for fmt in ("table", "json", "csv"):
+            code, out, err = run(capsys, "analyze", "--state", path, "--format", fmt)
+            assert code == 0 and err == "" and out
 
 
 def test_sweep_endpoints_and_crossing(capsys):
@@ -319,6 +324,13 @@ def test_fit_empty_dataset_exit_4(tmp_path, capsys):
     data.write_text("# only comments\n")
     code, _, err = run(capsys, "fit", "--data", str(data))
     assert code == 4 and err == "error: cannot fit an empty dataset\n"
+    # counts that give no datum: zero events, and perfect correlations (zero error)
+    for counts, message in (("0, 0, 0, 0", "error: cannot estimate a correlation from zero events\n"),
+                            ("5, 0, 0, 5", None)):
+        data.write_text("# format: counts\n" + "".join(f"{a}, {b}, {counts}\n" for a in (0, 90) for b in (45, 135)))
+        code, out, err = run(capsys, "fit", "--data", str(data))
+        assert code == 4 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message is None or err == message
 
 
 def test_fit_unparseable_exit_2(tmp_path, capsys):
@@ -348,6 +360,8 @@ def counts_file(*pairs):
          "counts do not group into settings: 3 rows is not a multiple of 4"),
         ("fit", counts_file("90, 45", "80, 135", "0, 45", "0, 135"),
          "counts file does not group into CHSH settings: first-analyzer angles do not form a CHSH quadruple"),
+        ("fit", counts_file("90, 45", "90, 135", "0, 50", "0, 135"),
+         "counts file does not group into CHSH settings: second-analyzer angles do not form a CHSH quadruple"),
         ("simulate", "10, 20\n1, 2, 3\n", "line 2: settings rows need 2 (pair) or 4 (CHSH) angles, got 3"),
         ("simulate", "90, 0, inf, 135\n", "line 1: values must be finite"),
         ("simulate", "10, twenty\n", "line 1: could not convert string to float: 'twenty'"),
@@ -533,6 +547,12 @@ def test_simulate_rejects_bad_events(tmp_path, capsys):
         "--events", "0", "--seed", "1",
     )
     assert code == 2
+    settings.write_text("# no rows\n")  # nothing to simulate: empty data, exit 4
+    code, out, err = run(
+        capsys, "simulate", "--state", state, "--settings", str(settings),
+        "--events", "10", "--seed", "1",
+    )
+    assert (code, out, err) == (4, "", "error: settings file has no rows\n")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

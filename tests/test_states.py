@@ -35,8 +35,17 @@ def test_validate_accepts_maximally_mixed():
 
 
 def test_validate_rejects_wrong_trace():
-    with pytest.raises(TraceNotOne):
+    with pytest.raises(TraceNotOne, match=r"^trace is 2, expected 1$"):
         validate(np.diag([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_validate_takes_the_trace_of_the_kept_matrix():
+    # each diagonal entry passes the Hermitian rule; their imaginary parts sum
+    # past 1e-10, but the kept matrix has a real diagonal and unit trace
+    m = werner(0.9).mat.copy()
+    for i in range(3):
+        m[i, i] += 0.4e-10j
+    assert np.array_equal(validate(m).mat, werner(0.9).mat)
 
 
 def test_validate_rejects_indefinite():
