@@ -26,15 +26,12 @@ MAX_ENTRY_SUM = 1e150
 
 
 class NotHermitian(ValueError):
-    """Input matrix is not Hermitian to tolerance (or has non-finite or oversized entries)."""
+    """Input matrix is not Hermitian (for real input: symmetric) to 1e-10, or has
+    non-finite or oversized entries."""
 
 
-class NotSymmetric(NotHermitian):
-    """Real input matrix is not symmetric to tolerance."""
-
-
-class NotPSD(ValueError):
-    """Matrix has an eigenvalue below the PSD floor."""
+class NotPositive(ValueError):
+    """Matrix has an eigenvalue below -1e-8."""
 
 
 class NoConvergence(RuntimeError):
@@ -63,20 +60,28 @@ def as_square(m, n: int, dtype: type) -> np.ndarray:
     return m
 
 
-def hermitian_lists(m: np.ndarray, exc: type[NotHermitian] = NotHermitian,
-                    message: str = "matrix is not Hermitian to 1e-10") -> list[list]:
+def ordered_sum(values) -> float:
+    """Floats added left to right, uncompensated: ``sum`` as CPython adds them
+    before 3.12 (3.12's ``sum`` compensates, which moves last bits)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def hermitian_lists(m: np.ndarray) -> list[list]:
     """Lower triangle, its conjugate mirror and the real diagonal of a square array.
-    Raises ``exc`` unless the magnitudes are finite and sum to at most 1e150 (the
-    rotations square them), then ``exc(message)`` if max|m - m^dag| > 1e-10."""
+    Raises NotHermitian unless the magnitudes are finite and sum to at most 1e150
+    (the rotations square them) and max|m - m^dag| <= 1e-10."""
     a = m.tolist()
     try:
-        total = sum(sum(map(abs, row)) for row in a)
+        total = ordered_sum(ordered_sum(map(abs, row)) for row in a)
     except OverflowError:  # |x| beyond the float range, or CPython's abs of a NaN under a stale errno
         total = math.inf
     if not total <= MAX_ENTRY_SUM:
-        raise exc("matrix entries must be finite, with magnitudes summing to at most 1e150")
+        raise NotHermitian("matrix entries must be finite, with magnitudes summing to at most 1e150")
     if max(abs(x - a[j][i].conjugate()) for i, row in enumerate(a) for j, x in enumerate(row[:i + 1])) > HERMITIAN_TOL:
-        raise exc(message)
+        raise NotHermitian("matrix is not Hermitian to 1e-10")
     for i, row in enumerate(a):
         row[i] = row[i].real
         for j in range(i):
@@ -85,8 +90,8 @@ def hermitian_lists(m: np.ndarray, exc: type[NotHermitian] = NotHermitian,
 
 
 def _offdiag_norm(a: list[list[complex]]) -> float:
-    return math.sqrt(sum(abs(x) ** 2 for i, row in enumerate(a)
-                         for j, x in enumerate(row) if i != j))
+    return math.sqrt(ordered_sum(abs(x) ** 2 for i, row in enumerate(a)
+                                 for j, x in enumerate(row) if i != j))
 
 
 def _rotate(a: list[list], v: list[list], p: int, q: int, others: list[int]) -> None:
@@ -188,21 +193,20 @@ def eigvals_hermitian(m: np.ndarray) -> list[float]:
 
 
 def eig_symmetric3(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a real symmetric 3x3 matrix."""
-    a = hermitian_lists(as_square(m, 3, float), NotSymmetric, "matrix is not symmetric to 1e-10")
-    return jacobi_spectrum(a, float)
+    """Eigendecomposition of a real symmetric 3x3 matrix; checks as in :func:`eig_hermitian`."""
+    return jacobi_spectrum(hermitian_lists(as_square(m, 3, float)), float)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a Hermitian PSD 4x4 matrix.
 
     Eigenvalues in [-1e-8, 0) are treated as rounding noise and clamped to
-    zero; anything below -1e-8 raises NotPSD.
+    zero; anything below -1e-8 raises NotPositive.
     """
     spec = eig_hermitian(m)
     w = spec.eigenvalues
     if np.min(w) < PSD_FLOOR:
-        raise NotPSD(f"eigenvalue {np.min(w):.3e} below PSD floor {PSD_FLOOR}")
+        raise NotPositive(f"eigenvalue {np.min(w):.3e} below {PSD_FLOOR}")
     v = spec.eigenvectors
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return 0.5 * (root + root.conj().T)

@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import SINGLET_PAULI, DensityMatrix, decompose
+from .linalg import ordered_sum
+from .states import SINGLET_PAULI
 
 REFERENCE_GAMMA = 0.9  # mixing level of the reference comparison (case 2)
 
@@ -135,13 +136,8 @@ def angle_to_direction(phi: float) -> np.ndarray:
     return np.array([math.sin(rad), 0.0, math.cos(rad)])
 
 
-def chsh_value(rho: DensityMatrix, s: AngleSettings) -> float:
-    """Absolute value of the four-angle CHSH combination for a state."""
-    return chsh_from_correlation(decompose(rho).D, s)
-
-
-def chsh_from_correlation(d: np.ndarray, s: AngleSettings) -> float:
-    """:func:`chsh_value` for a state with correlation matrix ``d``."""
+def chsh_value(d: np.ndarray, s: AngleSettings) -> float:
+    """Absolute value of the four-angle CHSH combination for correlation matrix ``d``."""
     e = [float(angle_to_direction(p1) @ d @ angle_to_direction(p2)) for p1, p2 in s.pairs()]
     return abs(e[0] + e[1] + e[2] - e[3])
 
@@ -179,7 +175,7 @@ def chsh_datum_from_counts(tables: Sequence[CountTable]) -> ChshDatum:
     settings = AngleSettings(phi1=t11.phi1, phi1p=t21.phi1, phi2=t11.phi2, phi2p=t12.phi2)
     estimates = [estimate_correlation(t) for t in tables]
     combo = estimates[0][0] + estimates[1][0] + estimates[2][0] - estimates[3][0]
-    err = math.sqrt(sum(sig * sig for _, sig in estimates))
+    err = math.sqrt(ordered_sum(sig * sig for _, sig in estimates))
     return ChshDatum(settings=settings, r_exp=abs(combo), dr_exp=err)
 
 
@@ -213,10 +209,10 @@ def fit_gamma(data: Sequence[ChshDatum]) -> FitResult:
     data = list(data)
     if not data:
         raise EmptyData("cannot fit an empty dataset")
-    s_vals = [chsh_from_correlation(SINGLET_PAULI.D, d.settings) for d in data]
+    s_vals = [chsh_value(SINGLET_PAULI.D, d.settings) for d in data]
     try:
-        num = sum(s * d.r_exp / d.dr_exp**2 for s, d in zip(s_vals, data))
-        den = sum(s * s / d.dr_exp**2 for s, d in zip(s_vals, data))
+        num = ordered_sum(s * d.r_exp / d.dr_exp**2 for s, d in zip(s_vals, data))
+        den = ordered_sum(s * s / d.dr_exp**2 for s, d in zip(s_vals, data))
     except (ZeroDivisionError, OverflowError):
         raise NotFinite("dr_exp**2 underflows or overflows; rescale the data") from None
     gamma_hat = 0.0 if den == 0.0 else min(max(num / den, 0.0), 1.0)

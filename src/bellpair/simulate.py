@@ -75,12 +75,8 @@ class SimConfig:
             raise SimConfigError("settings angles must be finite")
 
 
-def joint_probabilities(rho: DensityMatrix, phi1: float, phi2: float) -> np.ndarray:
-    """Outcome probabilities (p++, p+-, p-+, p--) for one angle pair."""
-    return _probabilities(decompose(rho), phi1, phi2)
-
-
-def _probabilities(pd: PauliDecomposition, phi1: float, phi2: float) -> np.ndarray:
+def joint_probabilities(pd: PauliDecomposition, phi1: float, phi2: float) -> np.ndarray:
+    """Outcome probabilities (p++, p+-, p-+, p--) for one angle pair, from a state's Pauli form."""
     a = angle_to_direction(phi1)
     b = angle_to_direction(phi2)
     sa = float(a @ pd.A)
@@ -128,7 +124,7 @@ def simulate(cfg: SimConfig) -> list[CountTable]:
     probabilities and the tables are made on the calling thread.
     """
     pd = decompose(cfg.state)
-    jobs = [(_probabilities(pd, phi1, phi2), _stream_key(cfg.seed, index))
+    jobs = [(joint_probabilities(pd, phi1, phi2), _stream_key(cfg.seed, index))
             for index, (phi1, phi2) in enumerate(cfg.settings)]
     counts: list = [None] * len(jobs)
     errors: dict[int, BaseException] = {}

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_FLOOR, Spectrum, as_square, hermitian_lists, jacobi_spectrum
+from .linalg import (PSD_FLOOR, NotPositive, Spectrum, as_square, hermitian_lists, jacobi_spectrum,
+                     ordered_sum)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -45,10 +46,6 @@ TRACE_TOL = 1e-10
 
 class TraceNotOne(ValueError):
     """Trace differs from one by more than 1e-10."""
-
-
-class NotPositive(ValueError):
-    """Matrix has an eigenvalue below -1e-8."""
 
 
 class GammaOutOfRange(ValueError):
@@ -93,8 +90,8 @@ class PauliDecomposition:
 def validate(mat: np.ndarray) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; keep the matrix it diagonalized."""
     m = as_square(mat, 4, complex)
-    a = hermitian_lists(m, message="density matrix is not Hermitian to 1e-10")
-    tr = sum(row[i] for i, row in enumerate(a))  # the real diagonal of the kept matrix
+    a = hermitian_lists(m)
+    tr = ordered_sum(row[i] for i, row in enumerate(a))  # the real diagonal of the kept matrix
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr:.12g}, expected 1")
     herm = np.array(a, dtype=complex)  # before the rotations overwrite ``a``

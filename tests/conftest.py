@@ -1,6 +1,31 @@
+import math
+import sys
+
 import numpy as np
+import pytest
 
 from bellpair.states import DensityMatrix, validate
+
+
+def neumaier_sum(values, start=0):
+    """``sum`` as CPython 3.12 adds floats: left to right, Neumaier-compensated."""
+    values = list(values)
+    if start != 0 or not values or not all(type(x) is float for x in values):
+        return sum(values, start)
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.fixture
+def python312_sum(monkeypatch):
+    """Every loaded bellpair module sees :func:`neumaier_sum` as ``sum``."""
+    for name, module in list(sys.modules.items()):
+        if name == "bellpair" or name.startswith("bellpair."):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
 
 
 def random_pure_ket(rng: np.random.Generator) -> np.ndarray:

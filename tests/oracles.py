@@ -15,7 +15,8 @@ post-processing phase-fixes and sorts numpy columns instead of lists.  The
 decomposition and composition oracles build their Kronecker products on
 every call and multiply densely instead of gathering from, or adding, a
 table of products built once at import; the CHSH mean and the coplanar
-correlation take D from that oracle, not from the ``decompose`` it checks.
+correlation take D from that oracle, not from the ``decompose`` it checks,
+and the fit oracle takes its pure-singlet S_i from that correlation.
 ``refine_directions`` climbs to the CHSH optimum by alternating exact
 updates instead of constructing it from the Gram spectrum of D.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from bellpair.bell import DEGENERATE_NORM, AnalyzerDirections
 from bellpair.linalg import DEGENERACY_TOL, MAX_SWEEPS, OFFDIAG_TOL, Spectrum
-from bellpair.protocol import angle_to_direction, chi_square, chsh_value
+from bellpair.protocol import angle_to_direction, chi_square
 from bellpair.states import DensityMatrix, decompose, singlet
 
 _SY = np.array([[0, -1j], [1j, 0]])
@@ -75,7 +76,10 @@ def tangle_factor_mp(g: np.ndarray) -> float:
 def gamma_grid_search(data, step: float = 1e-4) -> tuple[float, float]:
     """Brute-force minimizer of the weighted chi-square over gamma in [0,1]."""
     pure = singlet()
-    s_vals = [chsh_value(pure, d.settings) for d in data]
+    s_vals = []
+    for d in data:
+        e = [correlation(pure, p1, p2) for p1, p2 in d.settings.pairs()]
+        s_vals.append(abs(e[0] + e[1] + e[2] - e[3]))
     gammas = np.arange(0.0, 1.0 + step / 2, step)
     chis = np.array([chi_square(data, [g * s for s in s_vals]) for g in gammas])
     k = int(np.argmin(chis))
@@ -192,9 +196,13 @@ def jacobi_two_sided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(m, dtype=complex).tolist()
     v = np.eye(n, dtype=complex).tolist()
 
-    def offdiag() -> float:
-        return math.sqrt(sum(abs(x) ** 2 for i, row in enumerate(a)
-                             for j, x in enumerate(row) if i != j))
+    def offdiag() -> float:  # added in index order on every Python, as bellpair does
+        total = 0.0
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if i != j:
+                    total += abs(x) ** 2
+        return math.sqrt(total)
 
     for _ in range(MAX_SWEEPS):
         if offdiag() <= OFFDIAG_TOL:

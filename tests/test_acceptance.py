@@ -42,7 +42,7 @@ def report(num: int, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_case1_column():
     start = time.perf_counter()
-    pure = singlet()
+    pure = decompose(singlet()).D
     values = [chsh_value(pure, d.settings) for d in embedded_data()]
     rounded = tuple(float(f"{v:.2f}") for v in values)
     elapsed = time.perf_counter() - start
@@ -54,7 +54,7 @@ def test_criterion_1_case1_column():
 
 def test_criterion_2_case2_column():
     start = time.perf_counter()
-    mixed = werner(0.9)
+    mixed = decompose(werner(0.9)).D
     values = [chsh_value(mixed, d.settings) for d in embedded_data()]
     rounded = [float(f"{v:.2f}") for v in values]
     elapsed = time.perf_counter() - start
@@ -78,7 +78,7 @@ def test_criterion_2_case2_column():
 
 def test_criterion_3_chi_square_reproduction():
     data = embedded_data()
-    pure = singlet()
+    pure = decompose(singlet()).D
     chi2_case1 = chi_square(data, [chsh_value(pure, d.settings) for d in data])
     chi2_case2 = chi_square(data, list(PUBLISHED_CASE2))
     ok = (

@@ -96,6 +96,13 @@ def test_analyze_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--state", bad)
     assert code == 3 and "invalid state" in err
 
+    skew = np.eye(4) / 4
+    skew[0, 1] = 1e-6
+    skewed = state_file(tmp_path, {"kind": "matrix", "re": skew.tolist(), "im": np.zeros((4, 4)).tolist()},
+                        name="skewed.json")
+    code, out, err = run(capsys, "analyze", "--state", skewed)
+    assert (code, out, err) == (3, "", "error: invalid state: matrix is not Hermitian to 1e-10\n")
+
 
 @pytest.mark.parametrize("name", [["singlet"], {"singlet": 1}, None, 3])
 def test_analyze_named_state_that_is_not_a_string_exit_2(tmp_path, capsys, name):
@@ -444,8 +451,8 @@ def test_csv_reads_back_every_float_exactly(tmp_path, capsys):
 GOLDEN_DATA = "12.3456789, 0.1, 45, 135, 1.9, 0.2\n50, 0, 25, 75, 2.3, 0.3\n90, 0, 45, 135, 2.2, 0.25\n"
 GOLDEN_DIGESTS = {
     ("table1", "table"): "79f351e4ef4b949b41d4f0477a89bc65e0aa86a6829e2acf97291bc32fb9c2ba",
-    ("table1", "json"): "caef4d428c458f86916d37ffcfbde78e208502f2ac47b328ac2a13e6b1609a9f",
-    ("table1", "csv"): "514ce6a5959c7bdce30cb98c94db2cb8296e7177303343f5f65bb6fa9817de61",
+    ("table1", "json"): "99a95693512ddc2fe915d58c639026793e2c03ae8cb0f15f9e6219a5dccb7ffb",
+    ("table1", "csv"): "588417bdf4a67c82b6dd214bc21e2ef130068d9ea6366061b2a3cc5d5b948dbd",
     ("fit --embedded", "table"): "c4405173af27e1db8c74b8c96c2ee81bb12516ed7dbb0a0e5ab1e5dbc4b024f5",
     ("fit --embedded", "json"): "4aa9e42f3d903b934382734f20520d4cc94b3eb3fecc2f23c000dcc17a72a3c6",
     ("fit --embedded", "csv"): "588bd459fbd9fb38b444ed3c9348c84a5fae0ef252d7519ce3298155aeab9fb5",
@@ -462,6 +469,24 @@ def test_golden_output_digests(tmp_path, monkeypatch, capsys, command, fmt):
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command, fmt]
+
+
+@pytest.mark.parametrize("command, fmt", list(GOLDEN_DIGESTS))
+def test_golden_output_digests_under_python312_sum(tmp_path, monkeypatch, capsys, python312_sum,
+                                                   command, fmt):
+    # Python 3.12's sum compensates float rounding; pyproject allows 3.10 and later
+    test_golden_output_digests(tmp_path, monkeypatch, capsys, command, fmt)
+
+
+def test_table1_agrees_with_fit(capsys):
+    code, out, _ = run(capsys, "table1", "--format", "json")
+    assert code == 0
+    table = json.loads(out)
+    code, out, _ = run(capsys, "fit", "--embedded", "--format", "json")
+    assert code == 0
+    fit = json.loads(out)
+    assert (table["chi2_case1"], table["chi2_case2"]) == (fit["chi2_case1"], fit["chi2_case2"])
+    assert all(row["case2"] == 0.9 * row["case1"] for row in table["rows"])
 
 
 def test_simulate_deterministic_and_round_trip(tmp_path, capsys):

@@ -7,8 +7,7 @@ import bellpair.linalg as linalg
 from bellpair.linalg import (
     NoConvergence,
     NotHermitian,
-    NotPSD,
-    NotSymmetric,
+    NotPositive,
     eig_hermitian,
     eig_symmetric3,
     eigvals_hermitian,
@@ -70,7 +69,7 @@ def test_rejects_non_hermitian():
 def test_rejects_non_symmetric():
     m = np.eye(3)
     m[0, 1] = 1e-6
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(NotHermitian, match="^matrix is not Hermitian to 1e-10$"):
         eig_symmetric3(m)
 
 
@@ -180,7 +179,7 @@ def test_sqrt_psd_clamps_round_off_negatives():
 
 
 def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(NotPSD):
+    with pytest.raises(NotPositive, match="^eigenvalue -1.000e-06 below -1e-08$"):
         sqrt_psd(np.diag([1.0, 1.0, -1e-6, 1.0]))
 
 

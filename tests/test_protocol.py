@@ -29,7 +29,7 @@ from bellpair.protocol import (
     fit_gamma,
     group_counts,
 )
-from bellpair.states import singlet, werner
+from bellpair.states import decompose, singlet, werner
 from conftest import random_density_matrix
 from oracles import correlation, gamma_grid_search
 
@@ -76,18 +76,18 @@ def test_correlation_matches_cosine_law_on_five_degree_grid():
 
 
 def test_chsh_value_reference_rows():
-    pure = singlet()
+    pure = decompose(singlet()).D
     assert chsh_value(pure, settings_row(50, 0, 25, 75)) == pytest.approx(2.46, abs=0.005)
     assert chsh_value(pure, settings_row(90, 0, 45, 135)) == pytest.approx(2.83, abs=0.005)
-    assert chsh_value(werner(0.9), settings_row(60, 0, 30, 90)) == pytest.approx(2.34, abs=0.005)
+    assert chsh_value(decompose(werner(0.9)).D, settings_row(60, 0, 30, 90)) == pytest.approx(2.34, abs=0.005)
 
 
 @settings(max_examples=100, deadline=None)
 @given(gamma=st.floats(0.0, 1.0), phi1=ANGLES, phi1p=ANGLES, phi2=ANGLES, phi2p=ANGLES)
 def test_werner_chsh_scales_linearly(gamma, phi1, phi1p, phi2, phi2p):
     s = settings_row(phi1, phi1p, phi2, phi2p)
-    assert chsh_value(werner(gamma), s) == pytest.approx(
-        gamma * chsh_value(singlet(), s), abs=1e-10
+    assert chsh_value(decompose(werner(gamma)).D, s) == pytest.approx(
+        gamma * chsh_value(decompose(singlet()).D, s), abs=1e-10
     )
 
 
@@ -96,10 +96,11 @@ def test_chsh_value_never_exceeds_horodecki_bound():
     for _ in range(50):
         rho = random_density_matrix(rng)
         bound = horodecki_max(rho).max_violation
+        d = decompose(rho).D
         for _ in range(20):
             phis = rng.uniform(0, 360, size=4)
             s = settings_row(*phis)
-            assert chsh_value(rho, s) <= bound + 1e-9
+            assert chsh_value(d, s) <= bound + 1e-9
 
 
 def test_estimate_correlation_examples():
@@ -196,7 +197,7 @@ def test_chi_square_zero_when_exact():
 
 def test_chi_square_published_columns():
     data = embedded_data()
-    pure = singlet()
+    pure = decompose(singlet()).D
     case1 = [chsh_value(pure, d.settings) for d in data]
     assert chi_square(data, case1) == pytest.approx(PUBLISHED_CHI2_CASE1, abs=0.01)
     assert chi_square(data, list(PUBLISHED_CASE2)) == pytest.approx(PUBLISHED_CHI2_CASE2, abs=0.01)
@@ -244,7 +245,7 @@ def test_chi_square_is_permutation_invariant(seed):
 
 def test_fit_recovers_exact_synthetic_gamma():
     base = embedded_data()
-    pure = singlet()
+    pure = decompose(singlet()).D
     data = [
         ChshDatum(settings=d.settings, r_exp=0.9 * chsh_value(pure, d.settings), dr_exp=d.dr_exp)
         for d in base
@@ -285,7 +286,7 @@ def test_fit_minimum_never_beats_probed_gammas():
 def test_closed_form_matches_grid_search_on_100_synthetic_datasets():
     rng = np.random.default_rng(314159)
     base = embedded_data()
-    pure = singlet()
+    pure = decompose(singlet()).D
     for _ in range(100):
         true_gamma = rng.uniform(0.2, 1.0)
         data = [

@@ -19,7 +19,7 @@ from bellpair.simulate import (
     joint_probabilities,
     simulate,
 )
-from bellpair.states import PauliDecomposition, compose, singlet, unpolarized, werner
+from bellpair.states import PauliDecomposition, compose, decompose, singlet, unpolarized, werner
 from oracles import correlation, searchsorted_counts
 
 sim = importlib.import_module("bellpair.simulate")  # the package attribute is the function
@@ -51,17 +51,17 @@ def _force_workers(monkeypatch, workers):
 
 
 def test_joint_probabilities_singlet_aligned():
-    p = joint_probabilities(singlet(), 30.0, 30.0)
+    p = joint_probabilities(decompose(singlet()), 30.0, 30.0)
     assert np.allclose(p, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_joint_probabilities_unpolarized():
-    p = joint_probabilities(unpolarized(), 17.0, 121.0)
+    p = joint_probabilities(decompose(unpolarized()), 17.0, 121.0)
     assert np.allclose(p, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
 
 
 def test_joint_probabilities_werner_example():
-    p = joint_probabilities(werner(0.9), 50.0, 25.0)
+    p = joint_probabilities(decompose(werner(0.9)), 50.0, 25.0)
     lo = (1 - 0.9 * math.cos(math.radians(25.0))) / 4
     hi = (1 + 0.9 * math.cos(math.radians(25.0))) / 4
     assert np.allclose(p, [lo, hi, hi, lo], atol=1e-12)
@@ -71,7 +71,7 @@ def test_joint_probabilities_werner_example():
 @given(gamma=st.floats(0.0, 1.0), phi1=st.floats(-360, 720), phi2=st.floats(-360, 720))
 def test_joint_probabilities_normalized_and_consistent(gamma, phi1, phi2):
     rho = werner(gamma)
-    p = joint_probabilities(rho, phi1, phi2)
+    p = joint_probabilities(decompose(rho), phi1, phi2)
     assert np.all(p >= 0.0)
     assert float(p.sum()) == pytest.approx(1.0, abs=1e-10)
     assert p[0] + p[3] - p[1] - p[2] == pytest.approx(correlation(rho, phi1, phi2), abs=1e-10)
@@ -236,11 +236,16 @@ def test_counts_match_golden_digests(make_state, rows, events, seed, digest):
     assert hashlib.sha256(canon.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("make_state, rows, events, seed, digest", GOLDEN)
+def test_counts_match_golden_digests_under_python312_sum(python312_sum, make_state, rows, events, seed, digest):
+    test_counts_match_golden_digests(make_state, rows, events, seed, digest)
+
+
 def test_counts_match_searchsorted_oracle():
     fixed = [
         np.array([0.1, 0.4, 0.3, 0.2]),
-        joint_probabilities(werner(0.37), 12.5, 81.0),
-        joint_probabilities(singlet(), 42.0, 42.0),  # bins ++ and -- empty, last edge at 2^53
+        joint_probabilities(decompose(werner(0.37)), 12.5, 81.0),
+        joint_probabilities(decompose(singlet()), 42.0, 42.0),  # bins ++ and -- empty, last edge at 2^53
         np.array([0.25, 0.0, 0.0, 0.75]),  # two zero-width middle bins
         np.array([0.0, 0.0, 0.0, 1.0]),  # every edge at 0
     ]
@@ -274,13 +279,14 @@ def test_sampler_memory_is_bounded(monkeypatch):
 def test_concurrent_counts_match_oracle_for_any_worker_count(monkeypatch, workers):
     _force_workers(monkeypatch, workers)
     rho = werner(0.37)
+    pd = decompose(rho)
     for count in (1, 4, 9):
         pairs = _settings(count)
         for n in (CHUNK - 1, CHUNK, 3 * CHUNK + 7):
             tables = simulate(SimConfig(state=rho, settings=pairs, events_per_setting=n, seed=77))
             assert [(t.phi1, t.phi2) for t in tables] == list(pairs)
             for index, (t, (phi1, phi2)) in enumerate(zip(tables, pairs)):
-                want = searchsorted_counts(joint_probabilities(rho, phi1, phi2), n, _stream_key(77, index))
+                want = searchsorted_counts(joint_probabilities(pd, phi1, phi2), n, _stream_key(77, index))
                 assert [t.n_pp, t.n_pm, t.n_mp, t.n_mm] == want
 
 
