@@ -431,8 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_EMPTY
     if args.out:
         try:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(text)
+            data = text.encode("utf-8", "surrogateescape")  # UTF-8 whatever the locale; argv bytes round-trip
+            with open(args.out, "wb") as fh:
+                fh.write(data)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             print(f"error: cannot write {args.out}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return EXIT_PARSE

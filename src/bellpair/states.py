@@ -18,6 +18,7 @@ t_c is real or has its conjugate among the others: the sum is exactly real.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,10 @@ def validate(mat: np.ndarray) -> DensityMatrix:
     herm = np.array(a, dtype=complex)  # before the rotations overwrite ``a``
     spec = jacobi_spectrum(a)
     w = spec.eigenvalues
-    if np.min(w) < PSD_FLOOR:
-        raise NotPositive(f"eigenvalue {np.min(w):.3e} below {PSD_FLOOR}")
+    # descending but for the 1e-12 tie-break inside degenerate runs, so a
+    # negative eigenvalue leaves w[-1] negative; only then is the minimum taken
+    if w[-1] < 0.0 and w.min() < PSD_FLOOR:
+        raise NotPositive(f"eigenvalue {w.min():.3e} below {PSD_FLOOR}")
     return DensityMatrix(herm, spec)
 
 
@@ -141,6 +144,7 @@ def _projector(ket: np.ndarray) -> DensityMatrix:
     return validate(np.outer(ket, ket.conj()))
 
 
+@functools.cache
 def singlet() -> DensityMatrix:
     """The antisymmetric Bell state (|+-> - |-+>)/sqrt(2); D = -identity."""
     return _projector(_SINGLET_KET)
@@ -153,21 +157,25 @@ SINGLET_PAULI.P.setflags(write=False)
 SINGLET_PAULI.D.setflags(write=False)
 
 
+@functools.cache
 def triplet0() -> DensityMatrix:
     """(|+-> + |-+>)/sqrt(2); D = diag(1, 1, -1)."""
     return _projector(_TRIPLET0_KET)
 
 
+@functools.cache
 def phi_plus() -> DensityMatrix:
     """(|++> + |-->)/sqrt(2); D = diag(1, -1, 1)."""
     return _projector(_PHI_PLUS_KET)
 
 
+@functools.cache
 def phi_minus() -> DensityMatrix:
     """(|++> - |-->)/sqrt(2); D = diag(-1, 1, 1)."""
     return _projector(_PHI_MINUS_KET)
 
 
+@functools.cache
 def unpolarized() -> DensityMatrix:
     """The maximally mixed state I/4."""
     return validate(ID4 / 4.0)

@@ -189,8 +189,9 @@ def jacobi_two_sided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Every rotation updates all of columns p and q, then all of rows p and
     q, of the whole input, both triangles as given.  Same pivot order,
-    rotation formula, pivot clean-up and stopping rule as
-    ``bellpair.linalg._jacobi``.
+    rotation formula and pivot clean-up as ``bellpair.linalg._jacobi``; it
+    stops on the full off-diagonal norm, which ``_jacobi`` tests as half its
+    square on the stored lower triangle.
     """
     n = m.shape[0]
     a = np.asarray(m, dtype=complex).tolist()

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -650,6 +653,22 @@ def test_out_writes_identical_text(tmp_path, capsys):
                           "--format", "csv")
     assert code == 0
     assert out_file.read_text() == stdout
+
+
+def test_out_is_utf8_under_an_ascii_locale(tmp_path):
+    # the state path lands in the output; under the C locale argv arrives
+    # surrogate-escaped, and stdout and --out both give its bytes back
+    state = state_file(tmp_path, {"kind": "werner", "gamma": 0.8}, name="\u00e9tat.json")
+    out_file = tmp_path / "o.csv"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-X", "utf8=0", "-m", "bellpair", "analyze", "--state", state, "--format", "csv"]
+    written = subprocess.run([*argv, "--out", str(out_file)], env=env, capture_output=True, timeout=60)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    printed = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert printed.returncode == 0
+    assert f"# state: {state}\n".encode() in printed.stdout
+    assert out_file.read_bytes() == printed.stdout
 
 
 def test_version_flag(capsys):

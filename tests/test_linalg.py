@@ -89,7 +89,8 @@ def test_wrong_shape():
 
 def test_no_convergence_when_sweeps_exhausted(monkeypatch):
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
-    with pytest.raises(NoConvergence):
+    # the norm of all twelve off-diagonal 0.1 entries, sqrt(0.12)
+    with pytest.raises(NoConvergence, match=r"^off-diagonal norm 3\.464e-01 after 0 sweeps$"):
         eig_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]) + np.full((4, 4), 0.1))
     # an already-diagonal matrix needs no sweeps at all
     spec = eig_hermitian(np.diag([4.0, 3.0, 2.0, 1.0]))
@@ -215,6 +216,33 @@ def test_hermitian4_eigenvalues_bitwise_equal_two_sided_rotations(seed, rank):
         assert w == sorted(eig_hermitian(m).eigenvalues.tolist())
         assert w == sorted(eigvals_hermitian(m))
     assert sorted(jacobi_two_sided(rho)[0].tolist()) == sorted(validate(rho).spectrum.eigenvalues.tolist())
+
+
+def raw_jacobi(m, n, dtype):
+    """Unsorted eigenvalues and eigenvectors straight from ``linalg._jacobi``."""
+    a = linalg.hermitian_lists(linalg.as_square(m, n, dtype))
+    v = np.eye(n).tolist()
+    w = linalg._jacobi(a, v)
+    return np.array(w), np.array(v, dtype=dtype)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_raw_jacobi_output_bitwise_equals_two_sided_rotations(seed, rank):
+    # an extra sweep on a converged matrix moves eigenvector bits more often than
+    # eigenvalue bits, so comparing V as well pins the sweep the iteration stops on
+    rng = np.random.default_rng(seed)
+    for m in (random_state4(rng, rank), random_hermitian4(rng), werner(rng.uniform()).mat):
+        w, v = raw_jacobi(m, 4, complex)
+        w_ref, v_ref = jacobi_two_sided(m)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+    g = rng.normal(size=(3, 3))
+    for m in (g + g.T, g @ g.T):
+        w, v = raw_jacobi(m, 3, float)
+        w_ref, v_ref = jacobi_two_sided(m)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.real.tobytes() and not np.any(v_ref.imag)
 
 
 @settings(max_examples=40, deadline=None)

@@ -309,6 +309,14 @@ def test_validated_matrix_is_exactly_hermitian_and_its_expectations_real(seed, r
     assert np.all(((t[:, 0] + t[:, 1]) + (t[:, 2] + t[:, 3])).imag == 0.0)
 
 
+def test_named_states_are_shared_and_read_only():
+    for make in NAMED:
+        rho = make()
+        assert make() is rho
+        for arr in (rho.mat, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
+            assert not arr.flags.writeable
+
+
 def test_singlet_constant_is_the_singlet_decomposition_and_read_only():
     pd = decompose(singlet())
     assert _same_bits(SINGLET_PAULI, pd.A, pd.P, pd.D)
