@@ -19,45 +19,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import Spectrum, eig_symmetric3, eigvals_hermitian
-from .states import DensityMatrix, SIGMA_Y, decompose, purity
+from .linalg import Spectrum, eig_symmetric3, eigvals_hermitian, ordered_sum
+from .states import DensityMatrix, decompose, purity
 
 UNIT_TOL = 1e-10
 DEGENERATE_NORM = 1e-12
 BELL_LIMIT = 2.0
-
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 class NonUnitDirection(ValueError):
     """Analyzer direction does not have unit norm to 1e-10."""
 
 
-def _unit3(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
+def _unit3(v, name: str) -> tuple[float, ...]:
+    v = tuple(map(float, v))
+    if len(v) != 3:
         raise NonUnitDirection(f"direction {name} must have three components")
-    if not abs(math.sqrt(float(v @ v)) - 1.0) <= UNIT_TOL:  # also rejects nan
-        raise NonUnitDirection(f"direction {name} has norm {math.sqrt(float(v @ v)):.12g}")
+    norm = math.sqrt(ordered_sum(x * x for x in v))
+    if not abs(norm - 1.0) <= UNIT_TOL:  # also rejects nan
+        raise NonUnitDirection(f"direction {name} has norm {norm:.12g}")
     return v
+
+
+def _dot(x, y) -> float:
+    total = 0.0  # added left to right, as ordered_sum adds
+    for a, b in zip(x, y):
+        total += a * b
+    return total
 
 
 @dataclass(frozen=True)
 class AnalyzerDirections:
-    """Unit measurement directions a, a' (first spin) and b, b' (second)."""
+    """Unit measurement directions a, a' (first spin) and b, b' (second), as tuples."""
 
-    a: np.ndarray
-    a_prime: np.ndarray
-    b: np.ndarray
-    b_prime: np.ndarray
+    a: tuple[float, ...]
+    a_prime: tuple[float, ...]
+    b: tuple[float, ...]
+    b_prime: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _unit3(self.a, "a"))
-        object.__setattr__(self, "a_prime", _unit3(self.a_prime, "a_prime"))
-        object.__setattr__(self, "b", _unit3(self.b, "b"))
-        object.__setattr__(self, "b_prime", _unit3(self.b_prime, "b_prime"))
+        for name in ("a", "a_prime", "b", "b_prime"):
+            object.__setattr__(self, name, _unit3(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -89,42 +91,47 @@ def tangle(rho: DensityMatrix) -> float:
     rounding noise in a null eigenvalue w of rho moves the l_k by about w,
     not sqrt(w), and rank-deficient states keep rounding accuracy.
     """
-    w = rho.spectrum.eigenvalues
-    psi = rho.spectrum.eigenvectors * np.sqrt(np.clip(w, 0.0, None))
-    tau = psi.T @ _YY @ psi
-    lam = [math.sqrt(max(x, 0.0)) for x in eigvals_hermitian(tau.conj().T @ tau)]
+    spec = rho.spectrum
+    roots = [math.sqrt(max(0.0, x)) for x in spec.eigenvalues]
+    p0, p1, p2, p3 = [[x * r for x, r in zip(row, roots)] for row in spec.eigenvectors]  # rows of Psi
+    # sigma_y (x) sigma_y is the anti-diagonal (-1, 1, 1, -1), so tau is this exactly symmetric sum
+    tau = [[(p1[k] * p2[j] + p2[k] * p1[j]) - (p0[k] * p3[j] + p3[k] * p0[j]) for j in range(4)] for k in range(4)]
+    conj = [[x.conjugate() for x in row] for row in tau]  # tau^dag, as tau is symmetric
+    gram = [[c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3 for t0, t1, t2, t3 in tau] for c0, c1, c2, c3 in conj]
+    lam = [math.sqrt(max(x, 0.0)) for x in eigvals_hermitian(gram)]
     return max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
 
 
-def _optimal_from_correlation(d: np.ndarray, spec: Spectrum) -> AnalyzerDirections | None:
+def _optimal_from_correlation(d: tuple, spec: Spectrum) -> AnalyzerDirections | None:
     """Optimal settings from D and the spectrum of its Gram matrix D^T D.
 
     None when ``|D c_max| <= 1e-12`` (no preferred settings, e.g. the
     unpolarized state).  For a degenerate spectrum the eigensolver's
     deterministic eigenvector order picks one of the optimal settings.
     """
-    c1 = spec.eigenvectors[:, 0]
-    c2 = spec.eigenvectors[:, 1]
-    dc1 = d @ c1
-    dc2 = d @ c2
-    n1 = float(np.sqrt(dc1 @ dc1))
-    n2 = float(np.sqrt(dc2 @ dc2))
+    c1 = [row[0] for row in spec.eigenvectors]
+    c2 = [row[1] for row in spec.eigenvectors]
+    dc1 = [_dot(row, c1) for row in d]
+    dc2 = [_dot(row, c2) for row in d]
+    n1 = math.sqrt(_dot(dc1, dc1))
+    n2 = math.sqrt(_dot(dc2, dc2))
     if n1 <= DEGENERATE_NORM:
         return None
     theta = math.atan2(n2, n1)
-    b = math.cos(theta) * c1 + math.sin(theta) * c2
-    b_prime = math.cos(theta) * c1 - math.sin(theta) * c2
-    a = dc1 / n1
-    a_prime = dc2 / n2 if n2 > DEGENERATE_NORM else c2
-    return AnalyzerDirections(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return AnalyzerDirections(
+        a=[x / n1 for x in dc1],
+        a_prime=[x / n2 for x in dc2] if n2 > DEGENERATE_NORM else c2,
+        b=[cos_t * x + sin_t * y for x, y in zip(c1, c2)],
+        b_prime=[cos_t * x - sin_t * y for x, y in zip(c1, c2)],
+    )
 
 
 def horodecki_max(rho: DensityMatrix) -> BellReport:
     """Full report: tangle, M, maximal violation 2 sqrt(M), purity, settings."""
     d = decompose(rho).D
-    gram = eig_symmetric3(d.T @ d)
-    gram_eigs = np.clip(gram.eigenvalues, 0.0, None)
-    m_val = float(gram_eigs[0] + gram_eigs[1])
+    gram = eig_symmetric3([[_dot(ci, cj) for cj in zip(*d)] for ci in zip(*d)])  # D^T D
+    m_val = max(0.0, gram.eigenvalues[0]) + max(0.0, gram.eigenvalues[1])
     return BellReport(
         tangle=tangle(rho),
         M=m_val,

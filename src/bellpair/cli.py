@@ -37,11 +37,10 @@ from .protocol import (
     NonpositiveError,
     NotFinite,
     chi_square,
-    chsh_value,
     fit_gamma,
 )
 from .simulate import SimConfig, SimConfigError, simulate
-from .states import SINGLET_PAULI, GammaOutOfRange, TraceNotOne, werner
+from .states import GammaOutOfRange, TraceNotOne, werner
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -104,7 +103,7 @@ def _render_csv(columns: list[_Column], rows: list[list], comments: list[str]) -
 def _table_cell(value, spec: str) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, list):  # a vector, shown as (x, y, z)
+    if isinstance(value, tuple):  # a vector, shown as (x, y, z)
         return "(" + ", ".join(format(x, spec) for x in value) + ")"
     return format(value, spec)
 
@@ -162,17 +161,9 @@ _ANALYZE_COLUMNS += [_Column(f"{name}_{axis}") for name, _ in _DIRECTIONS for ax
 
 def cmd_analyze(args: argparse.Namespace) -> str:
     report = horodecki_max(load_state(args.state))
-    optimal = None
-    if report.optimal is not None:
-        optimal = {name: [float(x) for x in getattr(report.optimal, name)] for name, _ in _DIRECTIONS}
-    body = {
-        "tangle": report.tangle,
-        "M": report.M,
-        "max_violation": report.max_violation,
-        "purity": report.purity,
-        "violates": report.violates,
-        "optimal": optimal,
-    }
+    optimal = None if report.optimal is None else {name: getattr(report.optimal, name) for name, _ in _DIRECTIONS}
+    body = {key: getattr(report, key) for key in ("tangle", "M", "max_violation", "purity", "violates")}
+    body["optimal"] = optimal
     columns, rows = _ANALYZE_COLUMNS, []  # JSON writes the body alone
     if args.format == "table":  # one quantity per line
         columns = _QUANTITY_COLUMNS
@@ -240,40 +231,28 @@ _TABLE1_COLUMNS = [
     *(_Column(name, ".2f") for name in ("case1", "pub1", "case2", "pub2", "r_exp", "dr_exp")),
     _Column("flags"),
 ]
+_TABLE1_KEYS = ("phi1", "phi1p", "phi2", "phi2p", "case1", "case1_published", "case1_flag",
+                "case2", "case2_published", "case2_flag", "r_exp", "dr_exp")  # JSON, in this order
 
 
 def cmd_table1(args: argparse.Namespace) -> str:
     data = embedded_data()
+    fit = fit_gamma(data)  # case 1 is the singlet model gamma * S at gamma = 1, case 2 at 0.9
     records, rows = [], []
-    for datum, pub1, pub2 in zip(data, PUBLISHED_CASE1, PUBLISHED_CASE2):
+    for datum, case1, pub1, pub2 in zip(data, fit.singlet_values, PUBLISHED_CASE1, PUBLISHED_CASE2):
         s = datum.settings
-        case1 = chsh_value(SINGLET_PAULI.D, s)
-        case2 = REFERENCE_GAMMA * case1  # the model gamma * S that fit_gamma scores
+        case2 = REFERENCE_GAMMA * case1
         flag1 = abs(case1 - pub1) > FLAG_THRESHOLD
         flag2 = abs(case2 - pub2) > FLAG_THRESHOLD
-        records.append(
-            {
-                "phi1": s.phi1,
-                "phi1p": s.phi1p,
-                "phi2": s.phi2,
-                "phi2p": s.phi2p,
-                "case1": case1,
-                "case1_published": pub1,
-                "case1_flag": flag1,
-                "case2": case2,
-                "case2_published": pub2,
-                "case2_flag": flag2,
-                "r_exp": datum.r_exp,
-                "dr_exp": datum.dr_exp,
-            }
-        )
+        records.append(dict(zip(_TABLE1_KEYS, (s.phi1, s.phi1p, s.phi2, s.phi2p, case1, pub1, flag1,
+                                               case2, pub2, flag2, datum.r_exp, datum.dr_exp))))
         flags = [f"case{k}:{r:.4f}!={p:.2f}"
                  for k, r, p, flagged in ((1, case1, pub1, flag1), (2, case2, pub2, flag2)) if flagged]
         rows.append([s.phi1, s.phi1p, s.phi2, s.phi2p, case1, pub1, case2, pub2,
                      datum.r_exp, datum.dr_exp, " ".join(flags)])
     chi2 = {
-        "chi2_case1": chi_square(data, [r["case1"] for r in records]),
-        "chi2_case2": chi_square(data, [r["case2"] for r in records]),
+        "chi2_case1": fit.chi2_case1,
+        "chi2_case2": fit.chi2_case2,
         "chi2_case2_published_column": chi_square(data, list(PUBLISHED_CASE2)),
     }
     footer = [

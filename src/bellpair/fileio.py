@@ -32,8 +32,6 @@ import math
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import states
 from .protocol import (
     AngleSettings,
@@ -52,16 +50,26 @@ class FileFormatError(ValueError):
     """Unparseable input file."""
 
 
-def _field_array(doc: dict, kind: str, key: str, shape: tuple[int, ...]) -> np.ndarray:
+def _numbers(value, shape: tuple[int, ...]):
+    """A JSON value of the given shape as nested tuples of ``float``; ValueError for any
+    other shape.  Leaves are numbers, booleans or numeric strings, read by ``float``, or
+    null, read as NaN: like any non-finite entry it makes an invalid state, not a parse error."""
+    if not shape:
+        if isinstance(value, (list, dict)):
+            raise ValueError("expected a number")
+        return math.nan if value is None else float(value)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ValueError(f"must have shape {shape}")
+    return tuple(_numbers(x, shape[1:]) for x in value)
+
+
+def _field_array(doc: dict, kind: str, key: str, shape: tuple[int, ...]) -> tuple:
     try:
-        arr = np.asarray(doc[key], dtype=float)
+        return _numbers(doc[key], shape)
     except KeyError:
         raise FileFormatError(f"state file of kind {kind!r} is missing field {key!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise FileFormatError(f"field {key!r}: {exc}") from None
-    if arr.shape != shape:
-        raise FileFormatError(f"field {key!r} must have shape {shape}, got {arr.shape}")
-    return arr
 
 
 def load_state(path: str | Path) -> states.DensityMatrix:
@@ -76,9 +84,7 @@ def load_state(path: str | Path) -> states.DensityMatrix:
     if kind == "matrix":
         re = _field_array(doc, kind, "re", (4, 4))
         im = _field_array(doc, kind, "im", (4, 4))
-        with np.errstate(invalid="ignore"):  # non-finite input is rejected by validate
-            m = re + 1j * im
-        return states.validate(m)
+        return states.validate([[complex(x, y) for x, y in zip(*rows)] for rows in zip(re, im)])
     if kind == "pauli":
         pd = states.PauliDecomposition(
             A=_field_array(doc, kind, "A", (3,)),

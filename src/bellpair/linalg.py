@@ -2,11 +2,12 @@
 
 Cyclic Jacobi diagonalization for complex Hermitian 4x4 and real symmetric
 3x3 matrices, plus the Hermitian PSD matrix square root.  No LAPACK-backed
-routine is called.  The checks, rotations, phase fix, sort and tie-break all
-run on nested lists of Python scalars (``float`` for real input), so results
-are rounded as CPython rounds scalars, whatever SIMD loops numpy selects;
-numpy arrays are built once, at the end.  Only the lower triangle and the
-real diagonal are read (LAPACK ``zheev``'s ``UPLO='L'``): the working matrix
+routine is called, and no numpy: input arrays or nested sequences are read
+once into nested lists of Python scalars (``float`` for real input), and
+the checks, rotations, phase fix, sort and tie-break all run on those, so
+results are rounded as CPython rounds scalars, whatever the host's SIMD or
+BLAS kernels.  Results are tuples.  Only the lower triangle and the real
+diagonal are read (LAPACK ``zheev``'s ``UPLO='L'``): the working matrix
 is exactly Hermitian, and each rotation sets rows p and q to the conjugates
 of columns p and q, which is bitwise what the two-sided update gives there.
 So convergence is tested on the stored lower triangle alone: half the squared
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TOL = 1e-12
@@ -51,22 +50,24 @@ class NoConvergence(RuntimeError):
 class Spectrum:
     """Eigenvalues sorted descending, with matching orthonormal eigenvectors.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``.  Eigenvalues closer
-    than 1e-12 are treated as degenerate; inside a degenerate group the
-    columns are ordered lexicographically (after phase fixing) so the output
-    is deterministic.
+    Both are tuples: ``eigenvectors`` holds rows, and column k,
+    ``eigenvectors[i][k]`` for i = 0 .. n-1, belongs to ``eigenvalues[k]``.
+    Eigenvalues closer than 1e-12 are treated as degenerate; inside a
+    degenerate group the columns are ordered lexicographically (after phase
+    fixing) so the output is deterministic.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvalues: tuple[float, ...]
+    eigenvectors: tuple[tuple, ...]
 
 
-def as_square(m, n: int, dtype: type) -> np.ndarray:
-    """``m`` as an n x n array of ``dtype``; ValueError for any other shape."""
-    m = np.asarray(m, dtype=dtype)
-    if m.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-    return m
+def as_square(m, n: int, dtype: type) -> list[list]:
+    """``m``, an array or nested sequence, as fresh n x n lists of ``dtype`` scalars;
+    ValueError for any other shape."""
+    a = [[dtype(x) for x in row] for row in m]
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError(f"expected a {n}x{n} matrix")
+    return a
 
 
 def ordered_sum(values) -> float:
@@ -78,11 +79,10 @@ def ordered_sum(values) -> float:
     return total
 
 
-def hermitian_lists(m: np.ndarray) -> list[list]:
-    """Lower triangle, its conjugate mirror and the real diagonal of a square array.
-    Raises NotHermitian unless the magnitudes are finite and sum to at most 1e150
-    (the rotations square them) and max|m - m^dag| <= 1e-10."""
-    a = m.tolist()
+def hermitian_lists(a: list[list]) -> list[list]:
+    """Set square lists to their lower triangle, its conjugate mirror and the real
+    diagonal, in place.  Raises NotHermitian unless the magnitudes are finite and sum
+    to at most 1e150 (the rotations square them) and max|m - m^dag| <= 1e-10."""
     total = 0.0
     try:
         for row in a:  # row sums, added left to right, then added up in row order
@@ -172,7 +172,7 @@ def _fix_phase(col: tuple) -> list:
     return [x * f for x in col]
 
 
-def jacobi_spectrum(a: list[list], dtype: type = complex) -> Spectrum:
+def jacobi_spectrum(a: list[list]) -> Spectrum:
     """Spectrum of working lists from :func:`hermitian_lists`, rotated in place."""
     n = len(a)
     v = [[0.0] * k + [1.0] + [0.0] * (n - 1 - k) for k in range(n)]
@@ -189,11 +189,11 @@ def jacobi_spectrum(a: list[list], dtype: type = complex) -> Spectrum:
         final += order[i:j] if j == i + 1 else sorted(
             order[i:j], key=lambda k: [z for x in cols[k] for z in (x.real, x.imag)])
         i = j
-    return Spectrum(eigenvalues=np.array([w[k] for k in final]),
-                    eigenvectors=np.array([[cols[k][i] for k in final] for i in range(n)], dtype=dtype))
+    return Spectrum(eigenvalues=tuple(w[k] for k in final),
+                    eigenvectors=tuple(tuple(cols[k][i] for k in final) for i in range(n)))
 
 
-def eig_hermitian(m: np.ndarray) -> Spectrum:
+def eig_hermitian(m) -> Spectrum:
     """Eigendecomposition of a complex Hermitian 4x4 matrix.
 
     Raises NotHermitian if ``max|m - m^dag| > 1e-10`` and NoConvergence if
@@ -202,26 +202,29 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     return jacobi_spectrum(hermitian_lists(as_square(m, 4, complex)))
 
 
-def eigvals_hermitian(m: np.ndarray) -> list[float]:
+def eigvals_hermitian(m) -> list[float]:
     """Descending eigenvalues alone; input and checks as in :func:`eig_hermitian`."""
     return sorted(_jacobi(hermitian_lists(as_square(m, 4, complex))), reverse=True)
 
 
-def eig_symmetric3(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a real symmetric 3x3 matrix; checks as in :func:`eig_hermitian`."""
-    return jacobi_spectrum(hermitian_lists(as_square(m, 3, float)), float)
+def eig_symmetric3(m) -> Spectrum:
+    """Eigendecomposition of a real symmetric 3x3 matrix, with ``float`` eigenvectors;
+    checks as in :func:`eig_hermitian`."""
+    return jacobi_spectrum(hermitian_lists(as_square(m, 3, float)))
 
 
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a Hermitian PSD 4x4 matrix.
+def sqrt_psd(m) -> tuple[tuple[complex, ...], ...]:
+    """Hermitian square root of a Hermitian PSD 4x4 matrix, as a tuple of rows.
 
     Eigenvalues in [-1e-8, 0) are treated as rounding noise and clamped to
-    zero; anything below -1e-8 raises NotPositive.
+    zero; anything below -1e-8 raises NotPositive.  The root is V sqrt(w) V^dag
+    with its lower triangle mirrored, so it is exactly Hermitian.
     """
     spec = eig_hermitian(m)
-    w = spec.eigenvalues
-    if np.min(w) < PSD_FLOOR:
-        raise NotPositive(f"eigenvalue {np.min(w):.3e} below {PSD_FLOOR}")
-    v = spec.eigenvectors
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    w_min = min(spec.eigenvalues)
+    if w_min < PSD_FLOOR:
+        raise NotPositive(f"eigenvalue {w_min:.3e} below {PSD_FLOOR}")
+    v, roots = spec.eigenvectors, [math.sqrt(max(0.0, x)) for x in spec.eigenvalues]
+    low = [[ordered_sum(x * r * y.conjugate() for x, r, y in zip(v[i], roots, v[j])) for j in range(i + 1)] for i in range(4)]
+    return tuple(tuple(low[i][j] if j < i else low[i][i].real if j == i else low[j][i].conjugate() for j in range(4))
+                 for i in range(4))

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .linalg import ordered_sum
 from .states import SINGLET_PAULI
 
@@ -130,15 +128,23 @@ class FitResult:
     singlet_values: tuple[float, ...]
 
 
-def angle_to_direction(phi: float) -> np.ndarray:
+def angle_to_direction(phi: float) -> tuple[float, float, float]:
     """Unit vector (sin phi, 0, cos phi) for an analyzer angle in degrees."""
     rad = math.radians(phi)
-    return np.array([math.sin(rad), 0.0, math.cos(rad)])
+    return (math.sin(rad), 0.0, math.cos(rad))
 
 
-def chsh_value(d: np.ndarray, s: AngleSettings) -> float:
+def correlation(d, phi1: float, phi2: float) -> float:
+    """E(phi1, phi2) = a.(D b) for coplanar directions a, b: only D_xx, D_xz, D_zx and D_zz enter."""
+    s1, _, c1 = angle_to_direction(phi1)
+    s2, _, c2 = angle_to_direction(phi2)
+    (d_xx, _, d_xz), _, (d_zx, _, d_zz) = d
+    return s1 * (d_xx * s2 + d_xz * c2) + c1 * (d_zx * s2 + d_zz * c2)
+
+
+def chsh_value(d, s: AngleSettings) -> float:
     """Absolute value of the four-angle CHSH combination for correlation matrix ``d``."""
-    e = [float(angle_to_direction(p1) @ d @ angle_to_direction(p2)) for p1, p2 in s.pairs()]
+    e = [correlation(d, p1, p2) for p1, p2 in s.pairs()]
     return abs(e[0] + e[1] + e[2] - e[3])
 
 

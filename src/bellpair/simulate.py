@@ -20,6 +20,9 @@ this stream contract:
 * draws are made in fixed chunks of ``CHUNK`` words, which bounds memory
   at any event count and gives the same words as a single draw.
 
+numpy, which the rest of bellpair does not use, draws the Philox words and
+counts them; it is imported on the first draw.
+
 Settings are drawn concurrently, striped over up to one thread per usable
 core and per ``_THREAD_WORDS`` words of the run. The calling thread is one
 of them, so a one-core host, a one-setting run or a short run starts no
@@ -29,19 +32,17 @@ depend on the thread count or on scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 import operator
 import os
 import threading
 
-import numpy as np
-
-from .protocol import CountTable, angle_to_direction
+from .protocol import CountTable, angle_to_direction, correlation
 from .states import DensityMatrix, PauliDecomposition, decompose
 
 _BITS = 53
 _SCALE = float(1 << _BITS)
-_SHIFT = np.uint64(64 - _BITS)
 CHUNK = 1 << 16  # raw words drawn at a time
 _THREAD_WORDS = 1 << 16  # words per thread below which a thread's start-up costs more than it saves
 
@@ -75,22 +76,14 @@ class SimConfig:
             raise SimConfigError("settings angles must be finite")
 
 
-def joint_probabilities(pd: PauliDecomposition, phi1: float, phi2: float) -> np.ndarray:
+def joint_probabilities(pd: PauliDecomposition, phi1: float, phi2: float) -> tuple[float, float, float, float]:
     """Outcome probabilities (p++, p+-, p-+, p--) for one angle pair, from a state's Pauli form."""
-    a = angle_to_direction(phi1)
-    b = angle_to_direction(phi2)
-    sa = float(a @ pd.A)
-    sb = float(b @ pd.P)
-    sab = float(a @ pd.D @ b)
-    probs = np.array(
-        [
-            (1.0 + sa + sb + sab) / 4.0,
-            (1.0 + sa - sb - sab) / 4.0,
-            (1.0 - sa + sb - sab) / 4.0,
-            (1.0 - sa - sb + sab) / 4.0,
-        ]
-    )
-    return np.clip(probs, 0.0, None)
+    s1, _, c1 = angle_to_direction(phi1)
+    s2, _, c2 = angle_to_direction(phi2)
+    sa = s1 * pd.A[0] + c1 * pd.A[2]
+    sb = s2 * pd.P[0] + c2 * pd.P[2]
+    sab = correlation(pd.D, phi1, phi2)
+    return tuple(max(0.0, (1.0 + s * sa + t * sb + s * t * sab) / 4.0) for s in (1.0, -1.0) for t in (1.0, -1.0))
 
 
 def _stream_key(seed: int, index: int) -> int:
@@ -104,13 +97,17 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_counts(probs: np.ndarray, n: int, key: int) -> list[int]:
-    edges = np.rint(np.cumsum(probs[:3]) * _SCALE).astype(np.uint64)
+def _draw_counts(probs, n: int, key: int) -> list[int]:
+    import numpy as np
+
+    # the cumulative sums, added left to right, rounded to nearest with ties to even
+    edges = [np.uint64(round(c * _SCALE)) for c in itertools.accumulate(probs[:3])]
+    shift = np.uint64(64 - _BITS)
     bitgen = np.random.Philox(key=key)
     below = [0, 0, 0]
     for start in range(0, n, CHUNK):
         draws = bitgen.random_raw(min(CHUNK, n - start))
-        np.right_shift(draws, _SHIFT, out=draws)
+        np.right_shift(draws, shift, out=draws)
         for k, edge in enumerate(edges):
             below[k] += int(np.count_nonzero(draws < edge))
         del draws  # so a thread never holds two chunks

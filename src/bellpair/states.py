@@ -4,43 +4,46 @@ Basis order is the product basis {|++>, |+->, |-+>, |-->} with
 sigma_z|+> = +|+>, which makes sigma_z (x) sigma_z diagonal (1,-1,-1,1).
 Correlations of a state split into two local Bloch vectors A, P and the
 3x3 correlation matrix D with D_ij = Tr[rho (sigma_i (x) sigma_j)].
+Matrices and vectors are tuples of Python scalars: rows of ``complex`` (with
+a ``float`` diagonal) for a state, ``float`` for A, P and D.
 
 Each Pauli product K (sigma_i (x) 1, 1 (x) sigma_i, sigma_i (x) sigma_j)
 is a signed permutation: column c has one nonzero, +-1 or +-i, in row
-r(c).  So Tr(m K) is four exact terms t_c = m[c, r(c)] K[r(c), c].
+r(c).  So Tr(m K) is four exact terms t_c = m[c][r(c)] K[r(c)][c].
 :func:`decompose` sums them as (t0 + t1) + (t2 + t3), the order numpy's
 pairwise sum takes over the diagonal of ``np.trace(m @ K)`` (sequential
 order differs in the last bit for most states), then adds 0.0, because
 the matrix product never returns -0.0.  D, and every simulated count, is
 bitwise that of the dense route, ``tests/oracles.py::decompose_kron``.
 K is also a Hermitian involution and ``mat`` exactly Hermitian, so each
-t_c is real or has its conjugate among the others: the sum is exactly real.
+t_c is real or has its conjugate among the others: the sum is exactly real,
+and :func:`decompose` adds the real parts alone.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .linalg import (PSD_FLOOR, NotPositive, Spectrum, as_square, hermitian_lists, jacobi_spectrum,
                      ordered_sum)
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
+# The signed-permutation Paulis 1, sigma_x, sigma_y, sigma_z as (rows, phases):
+# column c has its one nonzero, phases[c], in row rows[c].
+_ONE, *_SIGMAS = (((0, 1), (1, 1)), ((1, 0), (1, 1)), ((1, 0), (1j, -1j)), ((0, 1), (1, -1)))
+
+
+def _kron(left: tuple, right: tuple) -> tuple:
+    """(rows, phases) of left (x) right; column c = 2 c_left + c_right."""
+    (left_rows, left_phases), (right_rows, right_phases) = left, right
+    return (tuple(2 * left_rows[c >> 1] + right_rows[c & 1] for c in range(4)),
+            tuple(left_phases[c >> 1] * right_phases[c & 1] for c in range(4)))
+
 
 # The 15 Pauli products, five per i = x, y, z: sigma_i (x) 1, 1 (x) sigma_i,
-# sigma_i (x) sigma_j (j = x, y, z).  compose adds them in this order;
-# column c of product k has its one nonzero, _PHASES[k, c], in row _ROWS[k, c].
-_PRODUCTS = np.array([np.kron(left, right) for si in PAULIS
-                      for left, right in ((si, ID2), (ID2, si), *((si, sj) for sj in PAULIS))])
-_ROWS = np.argmax(_PRODUCTS != 0, axis=1)
-_GATHER = 4 * np.arange(4) + _ROWS  # flat index of m[c, _ROWS[k, c]]
-_PHASES = np.take_along_axis(_PRODUCTS, _ROWS[:, None, :], axis=1)[:, 0, :]
+# sigma_i (x) sigma_j (j = x, y, z).  compose adds them in this order.
+_PRODUCTS = tuple(_kron(left, right) for si in _SIGMAS
+                  for left, right in ((si, _ONE), (_ONE, si), *((si, sj) for sj in _SIGMAS)))
 
 TRACE_TOL = 1e-10
 
@@ -58,18 +61,13 @@ class DensityMatrix:
     """A validated two-qubit state. Build through :func:`validate`.
 
     ``mat`` is the lower triangle of the input, mirrored, with a real
-    diagonal, so it is exactly Hermitian; ``spectrum`` is its
-    eigendecomposition, which :func:`validate` computed for its positivity
-    check and :func:`bell.tangle` takes a factor of the state from.
+    diagonal, as a tuple of rows, so it is exactly Hermitian; ``spectrum`` is
+    its eigendecomposition, which :func:`validate` computed for its
+    positivity check and :func:`bell.tangle` takes a factor of the state from.
     """
 
-    mat: np.ndarray
+    mat: tuple[tuple[complex, ...], ...]
     spectrum: Spectrum
-
-    def __post_init__(self) -> None:
-        self.mat.setflags(write=False)
-        self.spectrum.eigenvalues.setflags(write=False)
-        self.spectrum.eigenvectors.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -77,108 +75,118 @@ class PauliDecomposition:
     """Bloch vectors and correlation matrix of a two-qubit state.
 
     ``A`` and ``P`` are the first- and second-particle Bloch vectors;
-    ``D[i, j] = Tr[rho (sigma_i (x) sigma_j)]``.  For physical states
+    ``D[i][j] = Tr[rho (sigma_i (x) sigma_j)]``.  Any arrays or sequences of
+    the right shapes are stored as tuples of ``float``.  For physical states
     |A| <= 1, |P| <= 1 and every entry of D lies in [-1, 1]; the carrier
     itself does not enforce this, so unphysical decompositions can be fed
     to :func:`compose` and rejected there.
     """
 
-    A: np.ndarray
-    P: np.ndarray
-    D: np.ndarray
+    A: tuple[float, ...]
+    P: tuple[float, ...]
+    D: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "A", tuple(map(float, self.A)))
+        object.__setattr__(self, "P", tuple(map(float, self.P)))
+        object.__setattr__(self, "D", tuple(tuple(map(float, row)) for row in self.D))
+        if len(self.A) != 3 or len(self.P) != 3 or len(self.D) != 3 or any(len(row) != 3 for row in self.D):
+            raise ValueError("a Pauli decomposition needs A and P of length 3 and a 3x3 D")
 
 
-def validate(mat: np.ndarray) -> DensityMatrix:
+def validate(mat) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; keep the matrix it diagonalized."""
-    m = as_square(mat, 4, complex)
-    a = hermitian_lists(m)
+    a = hermitian_lists(as_square(mat, 4, complex))
     tr = ordered_sum(row[i] for i, row in enumerate(a))  # the real diagonal of the kept matrix
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr:.12g}, expected 1")
-    herm = np.array(a, dtype=complex)  # before the rotations overwrite ``a``
+    kept = tuple(map(tuple, a))  # before the rotations overwrite ``a``
     spec = jacobi_spectrum(a)
     w = spec.eigenvalues
     # descending but for the 1e-12 tie-break inside degenerate runs, so a
     # negative eigenvalue leaves w[-1] negative; only then is the minimum taken
-    if w[-1] < 0.0 and w.min() < PSD_FLOOR:
-        raise NotPositive(f"eigenvalue {w.min():.3e} below {PSD_FLOOR}")
-    return DensityMatrix(herm, spec)
+    if w[-1] < 0.0 and min(w) < PSD_FLOOR:
+        raise NotPositive(f"eigenvalue {min(w):.3e} below {PSD_FLOOR}")
+    return DensityMatrix(kept, spec)
 
 
 def decompose(rho: DensityMatrix) -> PauliDecomposition:
     """Local Bloch vectors and correlation matrix of a state."""
-    t = rho.mat.ravel()[_GATHER] * _PHASES
-    parts = ((t[:, 0] + t[:, 1]) + (t[:, 2] + t[:, 3]) + 0.0).real.reshape(3, 5)
-    # contiguous copies: numpy's matmul rounds differently on strided views
-    return PauliDecomposition(A=parts[:, 0].copy(), P=parts[:, 1].copy(), D=parts[:, 2:].copy())
+    m0, m1, m2, m3 = rho.mat
+    parts = [((m0[r0] * p0).real + (m1[r1] * p1).real) + ((m2[r2] * p2).real + (m3[r3] * p3).real) + 0.0
+             for (r0, r1, r2, r3), (p0, p1, p2, p3) in _PRODUCTS]
+    return PauliDecomposition(A=parts[0::5], P=parts[1::5], D=(parts[2:5], parts[7:10], parts[12:15]))
 
 
 def compose(pd: PauliDecomposition) -> DensityMatrix:
     """Rebuild the density matrix from a Pauli decomposition.
 
     The result is validated, so decompositions that do not correspond to a
-    physical state raise NotPositive.
+    physical state raise NotPositive, and non-finite sums NotHermitian.
     """
-    m = ID4.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # validate rejects what overflows
-        for coeff, product in zip(np.column_stack((pd.A, pd.P, pd.D)).ravel(), _PRODUCTS):
-            m += coeff * product
-        m = m / 4.0
-    return validate(m)
+    m = [[complex(i == j) for j in range(4)] for i in range(4)]
+    coeffs = [x for i in range(3) for x in (pd.A[i], pd.P[i], *pd.D[i])]
+    for coeff, (rows, phases) in zip(coeffs, _PRODUCTS):
+        for c, (r, phase) in enumerate(zip(rows, phases)):
+            m[r][c] += coeff * phase
+    return validate([[x / 4.0 for x in row] for row in m])
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); 0.25 for the maximally mixed state, 1 for pure states."""
-    return float(np.trace(rho.mat @ rho.mat).real)
+    """Tr(rho^2); 0.25 for the maximally mixed state, 1 for pure states.
+
+    The diagonal of rho^2 is sum_k |rho_ik|^2, because ``mat`` is exactly Hermitian.
+    """
+    return ordered_sum(ordered_sum(x.real * x.real + x.imag * x.imag for x in row) for row in rho.mat)
 
 
 # --- canonical states ------------------------------------------------------
 
-_SINGLET_KET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-_TRIPLET0_KET = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-_PHI_PLUS_KET = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-_PHI_MINUS_KET = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
+_H = 1.0 / math.sqrt(2.0)
+_SINGLET_KET = (0j, complex(_H), complex(-_H), 0j)
+_TRIPLET0_KET = (0j, complex(_H), complex(_H), 0j)
+_PHI_PLUS_KET = (complex(_H), 0j, 0j, complex(_H))
+_PHI_MINUS_KET = (complex(_H), 0j, 0j, complex(-_H))
+_QUARTER_ID = tuple(tuple(complex(0.25 * (i == j)) for j in range(4)) for i in range(4))
 
 
-def _projector(ket: np.ndarray) -> DensityMatrix:
-    return validate(np.outer(ket, ket.conj()))
+def _outer(ket: tuple) -> list[list[complex]]:
+    """|ket><ket|."""
+    return [[x * y.conjugate() for y in ket] for x in ket]
 
 
 @functools.cache
 def singlet() -> DensityMatrix:
     """The antisymmetric Bell state (|+-> - |-+>)/sqrt(2); D = -identity."""
-    return _projector(_SINGLET_KET)
+    return validate(_outer(_SINGLET_KET))
 
 
-# decompose(singlet()), computed once; its arrays are read-only.
+# decompose(singlet()), computed once
 SINGLET_PAULI = decompose(singlet())
-SINGLET_PAULI.A.setflags(write=False)
-SINGLET_PAULI.P.setflags(write=False)
-SINGLET_PAULI.D.setflags(write=False)
 
 
 @functools.cache
 def triplet0() -> DensityMatrix:
     """(|+-> + |-+>)/sqrt(2); D = diag(1, 1, -1)."""
-    return _projector(_TRIPLET0_KET)
+    return validate(_outer(_TRIPLET0_KET))
 
 
 @functools.cache
 def phi_plus() -> DensityMatrix:
     """(|++> + |-->)/sqrt(2); D = diag(1, -1, 1)."""
-    return _projector(_PHI_PLUS_KET)
+    return validate(_outer(_PHI_PLUS_KET))
 
 
 @functools.cache
 def phi_minus() -> DensityMatrix:
     """(|++> - |-->)/sqrt(2); D = diag(-1, 1, 1)."""
-    return _projector(_PHI_MINUS_KET)
+    return validate(_outer(_PHI_MINUS_KET))
 
 
 @functools.cache
 def unpolarized() -> DensityMatrix:
     """The maximally mixed state I/4."""
-    return validate(ID4 / 4.0)
+    return validate(_QUARTER_ID)
 
 
 NAMED_STATES = {
@@ -197,19 +205,13 @@ def werner(gamma: float) -> DensityMatrix:
     gamma=1 the pure singlet.  The construction is affine in gamma down to
     the last bit.
     """
-    if not np.isfinite(gamma) or gamma < 0.0 or gamma > 1.0:
+    if not math.isfinite(gamma) or gamma < 0.0 or gamma > 1.0:
         raise GammaOutOfRange(f"gamma must be in [0, 1], got {gamma}")
-    proj = np.outer(_SINGLET_KET, _SINGLET_KET.conj())
-    return validate((1.0 - gamma) * (ID4 / 4.0) + gamma * proj)
+    return validate([[(1.0 - gamma) * q + gamma * p for q, p in zip(q_row, p_row)]
+                     for q_row, p_row in zip(_QUARTER_ID, _outer(_SINGLET_KET))])
 
 
-def product_state(a: np.ndarray, p: np.ndarray) -> DensityMatrix:
-    """Uncorrelated pair with local Bloch vectors ``a`` and ``p``."""
-    a = np.asarray(a, dtype=float)
-    p = np.asarray(p, dtype=float)
-    for name, vec in (("a", a), ("p", p)):
-        if vec.shape != (3,):
-            raise ValueError(f"Bloch vector {name} must have three components")
-    rho_a = 0.5 * (ID2 + a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z)
-    rho_p = 0.5 * (ID2 + p[0] * SIGMA_X + p[1] * SIGMA_Y + p[2] * SIGMA_Z)
-    return validate(np.kron(rho_a, rho_p))
+def product_state(a, p) -> DensityMatrix:
+    """Uncorrelated pair with local Bloch vectors ``a`` and ``p``: A = a, P = p, D = a p^T."""
+    a, p = tuple(map(float, a)), tuple(map(float, p))
+    return compose(PauliDecomposition(A=a, P=p, D=[[x * y for y in p] for x in a]))

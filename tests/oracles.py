@@ -40,6 +40,7 @@ def tangle_charpoly(rho_mat: np.ndarray) -> float:
     Coefficients come from the Faddeev-LeVerrier trace recursion; the
     quartic is rooted directly via its companion matrix.
     """
+    rho_mat = np.asarray(rho_mat)
     m = rho_mat @ _YY @ rho_mat.conj() @ _YY
     p1 = np.trace(m)
     m2 = m @ m
@@ -193,8 +194,8 @@ def jacobi_two_sided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stops on the full off-diagonal norm, which ``_jacobi`` tests as half its
     square on the stored lower triangle.
     """
-    n = m.shape[0]
     a = np.asarray(m, dtype=complex).tolist()
+    n = len(a)
     v = np.eye(n, dtype=complex).tolist()
 
     def offdiag() -> float:  # added in index order on every Python, as bellpair does
@@ -254,6 +255,7 @@ _PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex), _SY,
 
 def decompose_kron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bloch vectors A, P and correlation matrix D with per-call ``np.kron``."""
+    m = np.asarray(m)
     a = np.empty(3)
     p = np.empty(3)
     d = np.empty((3, 3))
@@ -268,6 +270,7 @@ def decompose_kron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def bell_mean_batch(d: np.ndarray, a: np.ndarray, a_prime: np.ndarray,
                     b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
     """Vectorized CHSH mean a.D(b+b') + a'.D(b-b') for direction arrays (..., 3)."""
+    d, a, a_prime, b, b_prime = map(np.asarray, (d, a, a_prime, b, b_prime))
     plus = (b + b_prime) @ d.T
     minus = (b - b_prime) @ d.T
     return np.einsum("...i,...i->...", a, plus) + np.einsum("...i,...i->...", a_prime, minus)
@@ -282,7 +285,7 @@ def bell_mean(rho: DensityMatrix, dirs: AnalyzerDirections) -> float:
 def correlation(rho: DensityMatrix, phi1: float, phi2: float) -> float:
     """Joint spin correlation E(phi1, phi2) = a.(D b) for coplanar angles."""
     d = decompose_kron(rho.mat)[2]
-    return float(angle_to_direction(phi1) @ d @ angle_to_direction(phi2))
+    return float(np.asarray(angle_to_direction(phi1)) @ d @ np.asarray(angle_to_direction(phi2)))
 
 
 def refine_directions(rho: DensityMatrix, dirs: AnalyzerDirections,
@@ -294,9 +297,8 @@ def refine_directions(rho: DensityMatrix, dirs: AnalyzerDirections,
     Each step is non-decreasing in the CHSH mean, so the iteration climbs
     to a stationary point (the global maximum from a good start).
     """
-    d = decompose(rho).D
-    a, ap = dirs.a.copy(), dirs.a_prime.copy()
-    b, bp = dirs.b.copy(), dirs.b_prime.copy()
+    d = np.asarray(decompose(rho).D)
+    a, ap, b, bp = map(np.array, (dirs.a, dirs.a_prime, dirs.b, dirs.b_prime))
     value = -np.inf
     for _ in range(steps):
         u = d @ (b + bp)

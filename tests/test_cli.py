@@ -205,7 +205,7 @@ def test_analyze_accepts_anti_hermitian_noise_inside_the_rule(tmp_path, capsys):
     # matrix are exactly real, so analyze must not reject them later.  On the
     # diagonal the noise sums past 1e-10, which the stored real trace ignores.
     for cells in (((0, 1), (1, 0), (2, 3), (3, 2)), ((0, 0), (1, 1), (2, 2))):
-        m = werner(0.9).mat.copy()
+        m = np.array(werner(0.9).mat)
         for i, j in cells:
             m[i, j] += 0.45e-10j
         path = state_file(tmp_path, {"kind": "matrix", "re": m.real.tolist(), "im": m.imag.tolist()})
@@ -450,25 +450,42 @@ def test_csv_reads_back_every_float_exactly(tmp_path, capsys):
 
 # SHA-256 of stdout for fixed inputs.  A digest that moves is a visible
 # output change, to be announced.  The data has an angle that needs all its
-# digits, so the CSV digests also pin lossless angle fields.
+# digits, so the CSV digests also pin lossless angle fields.  The two states
+# are full rank and entangled, so ``analyze`` prints every field and all four
+# directions; their digests pin the Jacobi, tangle and settings arithmetic.
 GOLDEN_DATA = "12.3456789, 0.1, 45, 135, 1.9, 0.2\n50, 0, 25, 75, 2.3, 0.3\n90, 0, 45, 135, 2.2, 0.25\n"
+GOLDEN_STATES = {
+    "matrix.json": {"kind": "matrix",
+                    "re": [[0.1, 0.02, -0.03, 0.01], [0.02, 0.4, -0.3, 0.03],
+                           [-0.03, -0.3, 0.35, -0.02], [0.01, 0.03, -0.02, 0.15]],
+                    "im": [[0, 0.01, -0.02, 0.005], [-0.01, 0, 0.1, -0.02],
+                           [0.02, -0.1, 0, 0.01], [-0.005, 0.02, -0.01, 0]]},
+    "pauli.json": {"kind": "pauli", "A": [0.1, -0.2, 0.05], "P": [0.0, 0.15, -0.1],
+                   "D": [[-0.6, 0.1, 0.05], [0.02, -0.55, 0.1], [0.0, -0.05, -0.7]]},
+}
 GOLDEN_DIGESTS = {
     ("table1", "table"): "79f351e4ef4b949b41d4f0477a89bc65e0aa86a6829e2acf97291bc32fb9c2ba",
-    ("table1", "json"): "99a95693512ddc2fe915d58c639026793e2c03ae8cb0f15f9e6219a5dccb7ffb",
-    ("table1", "csv"): "588417bdf4a67c82b6dd214bc21e2ef130068d9ea6366061b2a3cc5d5b948dbd",
+    ("table1", "json"): "8d53714509633b569db4a42fd75495cf14045c3f5bb7559a5b3c5c4d5c0bb420",
+    ("table1", "csv"): "00cec3c9d7acc20041379ad88ec19d485dbb94e8eb5f551ed8af527aaf053e5a",
     ("fit --embedded", "table"): "c4405173af27e1db8c74b8c96c2ee81bb12516ed7dbb0a0e5ab1e5dbc4b024f5",
-    ("fit --embedded", "json"): "4aa9e42f3d903b934382734f20520d4cc94b3eb3fecc2f23c000dcc17a72a3c6",
-    ("fit --embedded", "csv"): "588bd459fbd9fb38b444ed3c9348c84a5fae0ef252d7519ce3298155aeab9fb5",
+    ("fit --embedded", "json"): "f03ce46567c74afd4208327c88120e5e0adbe5bf99ce3d954334cbbaf8819910",
+    ("fit --embedded", "csv"): "41278a7c516fc06258b6c979c9f8256cd7684941443ea71cb1535a9dc846058c",
     ("fit --data data.txt", "table"): "9bbdf1d71cec68ef497509dea4d15636377ef48fc942af2d65a863f5d72c6978",
     ("fit --data data.txt", "json"): "24be86d136e0a74e39070e20c0fdd9fb14266e7bcd237830721e4c5f85fdc35e",
     ("fit --data data.txt", "csv"): "18543ea5af810fcb5c37644d17a032c0af6ff00f32c0015595533df629eb4c32",
+    ("analyze --state matrix.json", "json"): "e1866918e6fa6b4a13c48fa9f7aed099cdcbbff50d8ba63825e98228f3ed2cea",
+    ("analyze --state matrix.json", "csv"): "1f9ef4c971576f78af31ee702d7c723f108c61e40f7185d7d0c2377ccc72e34d",
+    ("analyze --state pauli.json", "json"): "0ba9c8bf575ff396f9bf90749a366ee1e150e471d8eeb606cf202c7d565101ee",
+    ("analyze --state pauli.json", "csv"): "eb3fcdf02756167f6c6b4a56d459d0c5e2c67a80c221820d66c131850780ae5d",
 }
 
 
 @pytest.mark.parametrize("command, fmt", list(GOLDEN_DIGESTS))
 def test_golden_output_digests(tmp_path, monkeypatch, capsys, command, fmt):
-    monkeypatch.chdir(tmp_path)  # the manifest names the data file by the path given
+    monkeypatch.chdir(tmp_path)  # the manifest names the input files by the paths given
     (tmp_path / "data.txt").write_text(GOLDEN_DATA)
+    for name, doc in GOLDEN_STATES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command, fmt]
@@ -479,6 +496,53 @@ def test_golden_output_digests_under_python312_sum(tmp_path, monkeypatch, capsys
                                                    command, fmt):
     # Python 3.12's sum compensates float rounding; pyproject allows 3.10 and later
     test_golden_output_digests(tmp_path, monkeypatch, capsys, command, fmt)
+
+
+# Runs ``main`` on each argv of sys.argv[1] with numpy unimportable; prints [code, stdout] pairs.
+_NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from bellpair.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _package_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
+def test_importing_bellpair_leaves_numpy_unloaded():
+    code = "import sys, bellpair, bellpair.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_every_command_but_simulate_runs_without_numpy(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    states = {**GOLDEN_STATES, "werner.json": {"kind": "werner", "gamma": 0.8},
+              "named.json": {"kind": "named", "name": "phi_minus"}}
+    for name, doc in states.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "data.txt").write_text(GOLDEN_DATA)
+    (tmp_path / "settings.txt").write_text("0, 45, 22.5, 67.5\n")
+    assert main(["simulate", "--state", "werner.json", "--settings", "settings.txt", "--events", "1000",
+                 "--seed", "1", "--out", "counts.txt"]) == 0
+    commands = [["analyze", "--state", name] for name in states]
+    commands += [["sweep"], ["table1"], ["fit", "--embedded"], ["fit", "--data", "data.txt"],
+                 ["fit", "--data", "counts.txt"]]
+    argvs = [[*command, "--format", fmt] for command in commands for fmt in ("table", "json", "csv")]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, json.dumps(argvs)], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert blocked == [list(run(capsys, *argv)[:2]) for argv in argvs]
+    assert {code for code, _ in blocked} == {0}
 
 
 def test_table1_agrees_with_fit(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bellpair.fileio import (
     COUNTS_MARKER,
     FileFormatError,
+    _field_array,
     counts_text,
     is_counts_text,
     load_data,
@@ -16,6 +17,7 @@ from bellpair.fileio import (
     _parse_counts,
 )
 from bellpair.protocol import AngleSettings, CountTable, group_counts
+from bellpair.linalg import NotHermitian
 from bellpair.states import NotPositive, TraceNotOne, singlet, unpolarized, werner
 
 
@@ -53,7 +55,7 @@ def test_load_state_pauli(tmp_path):
         "D": np.diag([-0.9, -0.9, -0.9]).tolist(),
     }
     path = write(tmp_path, "p.json", json.dumps(doc))
-    assert np.max(np.abs(load_state(path).mat - werner(0.9).mat)) <= 1e-12
+    assert np.max(np.abs(np.asarray(load_state(path).mat) - werner(0.9).mat)) <= 1e-12
 
 
 def test_load_state_bad_json(tmp_path):
@@ -228,3 +230,71 @@ def test_mixed_separators_and_comments_parse_alike(tmp_path):
     plain = load_settings(write(tmp_path, "c.txt", "10, 20\n90, 0, 45, 135\n"))
     mixed = "# pairs\n10 20\n# a CHSH row\n\t90,0, 45 ,135\n"
     assert load_settings(write(tmp_path, "d.txt", mixed)) == plain
+
+
+ZEROS3 = [[0, 0, 0]] * 3
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "pauli", "A": "100", "P": [0, 0, 0], "D": ZEROS3},  # a string where a vector belongs
+    {"kind": "pauli", "A": [0, 0, 0], "P": [0, 0, 0], "D": "1000"},
+    {"kind": "pauli", "A": {"x": 1, "y": 0, "z": 0}, "P": [0, 0, 0], "D": ZEROS3},  # an object
+    {"kind": "pauli", "A": [0, 0, 0], "P": [0, 0, 0], "D": ["100", "010", "001"]},
+    {"kind": "pauli", "A": [[0], [0], [0]], "P": [0, 0, 0], "D": ZEROS3},  # one level too deep
+    {"kind": "pauli", "A": [0, 0], "P": [0, 0, 0], "D": ZEROS3},
+    {"kind": "pauli", "A": [0, 0, {}], "P": [0, 0, 0], "D": ZEROS3},
+    {"kind": "matrix", "re": "0.25", "im": [[0] * 4] * 4},
+    {"kind": "matrix", "re": [[0.25, 0, 0, 0]] * 4, "im": {"re": 0}},
+    {"kind": "matrix", "re": [[0.25, 0, 0, "abc"]] * 4, "im": [[0] * 4] * 4},
+])
+def test_a_string_or_object_where_an_array_belongs_is_a_format_error(tmp_path, doc):
+    with pytest.raises(FileFormatError, match="^field "):
+        load_state(write(tmp_path, "s.json", json.dumps(doc)))
+
+
+def test_numeric_strings_and_booleans_read_as_numbers_and_null_as_nan(tmp_path):
+    doc = {"kind": "pauli", "A": ["0", " 0 ", False], "P": [0, "0e0", 0],
+           "D": [[-0.9, 0, 0], [0, "-0.9", 0], [0, 0, -0.9]]}
+    assert np.allclose(load_state(write(tmp_path, "s.json", json.dumps(doc))).mat, werner(0.9).mat, atol=1e-12)
+    doc["A"][0] = None  # NaN, an invalid state
+    with pytest.raises(NotHermitian):
+        load_state(write(tmp_path, "n.json", json.dumps(doc)))
+
+
+def numpy_field(value, shape):
+    """The field as ``np.asarray(value, dtype=float)`` of the given shape; None if that fails."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr if arr.shape == shape else None
+
+
+LEAVES = st.one_of(
+    st.floats(), st.integers(-10**400, 10**400), st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from(["1", " 2.5 ", "1_0", "nan", "-Infinity", "1e400", "0x10", ""]),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def shaped(shape, leaves):
+    if not shape:
+        return leaves
+    return st.lists(shaped(shape[1:], leaves), min_size=shape[0], max_size=shape[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(3,), (3, 3), (4, 4)]))
+def test_fields_parse_as_numpy_parsed_them(data, shape):
+    # the acceptance set and values of np.asarray(value, dtype=float), without numpy
+    near = st.one_of(shaped(shape, LEAVES), shaped(shape[:-1] + (shape[-1] + 1,), LEAVES),
+                     shaped(shape[1:], LEAVES), shaped(shape + (1,), LEAVES))
+    value = data.draw(st.one_of(near, LEAVES, st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4),
+                                                           max_leaves=16)))
+    want = numpy_field(value, shape)
+    try:
+        got = _field_array({"x": value}, "pauli", "x", shape)
+    except FileFormatError:
+        assert want is None
+    else:
+        assert want is not None and np.array_equal(got, want, equal_nan=True)

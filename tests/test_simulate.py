@@ -71,7 +71,7 @@ def test_joint_probabilities_werner_example():
 @given(gamma=st.floats(0.0, 1.0), phi1=st.floats(-360, 720), phi2=st.floats(-360, 720))
 def test_joint_probabilities_normalized_and_consistent(gamma, phi1, phi2):
     rho = werner(gamma)
-    p = joint_probabilities(decompose(rho), phi1, phi2)
+    p = np.asarray(joint_probabilities(decompose(rho), phi1, phi2))
     assert np.all(p >= 0.0)
     assert float(p.sum()) == pytest.approx(1.0, abs=1e-10)
     assert p[0] + p[3] - p[1] - p[2] == pytest.approx(correlation(rho, phi1, phi2), abs=1e-10)
