@@ -17,7 +17,7 @@ tan(t) = |Dc'| / |Dc|, and a = Dc/|Dc|, a' = Dc'/|Dc'|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import Spectrum, eig_symmetric3, eigvals_hermitian, ordered_sum
 from .states import DensityMatrix, decompose, purity
@@ -48,33 +48,25 @@ def _dot(x, y) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class AnalyzerDirections:
+class AnalyzerDirections(namedtuple("AnalyzerDirections", "a a_prime b b_prime")):
     """Unit measurement directions a, a' (first spin) and b, b' (second), as tuples."""
 
-    a: tuple[float, ...]
-    a_prime: tuple[float, ...]
-    b: tuple[float, ...]
-    b_prime: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, name, _unit3(getattr(self, name), name))
+    def __new__(cls, a, a_prime, b, b_prime) -> AnalyzerDirections:
+        return super().__new__(cls, _unit3(a, "a"), _unit3(a_prime, "a_prime"), _unit3(b, "b"),
+                               _unit3(b_prime, "b_prime"))
 
 
-@dataclass(frozen=True)
-class BellReport:
-    """Summary metrics of one state.
+class BellReport(namedtuple("BellReport", "tangle M max_violation purity optimal")):
+    """Summary metrics of one state, as ``float``s but ``optimal``.
 
-    ``max_violation`` equals ``2 sqrt(M)``; ``optimal`` is None when the
+    ``max_violation`` equals ``2 sqrt(M)``; ``optimal`` holds the
+    :class:`AnalyzerDirections` that attain it, or None when the
     correlation matrix is degenerate and no preferred settings exist.
     """
 
-    tangle: float
-    M: float
-    max_violation: float
-    purity: float
-    optimal: AnalyzerDirections | None
+    __slots__ = ()
 
     @property
     def violates(self) -> bool:

@@ -16,7 +16,8 @@ import functools
 import json
 import math
 import sys
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import __version__
 from .bell import BELL_LIMIT, horodecki_max
@@ -58,10 +59,11 @@ class CommandError(ValueError):
 # --- one writer for every output format ----------------------------------------
 
 
-class _Column(NamedTuple):
-    name: str  # CSV header and JSON key
-    spec: str = ".4g"  # table format of a float cell
-    label: str | None = None  # table header, when it differs from ``name``
+class _Column(namedtuple("_Column", "name spec label", defaults=(".4g", None))):
+    """``name`` is the CSV header and JSON key, ``spec`` the table format of a
+    float cell, ``label`` the table header when it differs from ``name``."""
+
+    __slots__ = ()
 
 
 def _write(

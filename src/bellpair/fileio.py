@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
-from typing import Callable, Sequence
+import os
+from collections.abc import Callable, Sequence
 
 from . import states
 from .protocol import (
@@ -72,11 +72,12 @@ def _field_array(doc: dict, kind: str, key: str, shape: tuple[int, ...]) -> tupl
         raise FileFormatError(f"field {key!r}: {exc}") from None
 
 
-def load_state(path: str | Path) -> states.DensityMatrix:
+def load_state(path: str | os.PathLike) -> states.DensityMatrix:
     """Read a state file; validation errors propagate from the state model."""
+    text = _read_text(path, "state")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integers, deep nesting
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, long integers, deep nesting
         raise FileFormatError(f"cannot read state file {path}: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FileFormatError("state file must be a JSON object with a 'kind' field")
@@ -110,9 +111,12 @@ def load_state(path: str | Path) -> states.DensityMatrix:
     raise FileFormatError(f"unknown state kind {kind!r}")
 
 
-def _read_text(path: str | Path, what: str) -> str:
+def _read_text(path: str | os.PathLike, what: str) -> str:
+    """The file's text; errors name ``path`` as given.  ``os.fspath`` rejects an
+    int, which ``open`` would take for a file descriptor."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, ValueError) as exc:  # also bad UTF-8 and a NUL byte in the path
         raise FileFormatError(f"cannot read {what} file {path}: {exc}") from None
 
@@ -148,7 +152,7 @@ def _datum(fields: list[str]) -> ChshDatum:
     return ChshDatum(settings=AngleSettings(p1, p1p, p2, p2p), r_exp=r, dr_exp=dr)
 
 
-def load_data(path: str | Path) -> list[ChshDatum]:
+def load_data(path: str | os.PathLike) -> list[ChshDatum]:
     """Read a CHSH data file (or a counts file, grouped into settings)."""
     text = _read_text(path, "data")
     if not is_counts_text(text):
@@ -188,7 +192,7 @@ def _settings_row(fields: list[str]) -> Sequence[tuple[float, float]]:
     return AngleSettings(*_floats(fields, 4)).pairs()
 
 
-def load_settings(path: str | Path) -> list[tuple[float, float]]:
+def load_settings(path: str | os.PathLike) -> list[tuple[float, float]]:
     """Read a settings file into a flat list of angle pairs."""
     rows = _rows(_read_text(path, "settings"), _settings_row)
     return [pair for row in rows for pair in row]

@@ -18,7 +18,7 @@ shrinks the norm by orders of magnitude, so both stop on the same sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TOL = 1e-12
@@ -46,8 +46,7 @@ class NoConvergence(RuntimeError):
     """Jacobi iteration hit the sweep cap before converging."""
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "eigenvalues eigenvectors")):
     """Eigenvalues sorted descending, with matching orthonormal eigenvectors.
 
     Both are tuples: ``eigenvectors`` holds rows, and column k,
@@ -57,8 +56,7 @@ class Spectrum:
     fixing) so the output is deterministic.
     """
 
-    eigenvalues: tuple[float, ...]
-    eigenvectors: tuple[tuple, ...]
+    __slots__ = ()
 
 
 def as_square(m, n: int, dtype: type) -> list[list]:

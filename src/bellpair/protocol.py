@@ -17,8 +17,8 @@ least-squares problem with a closed-form minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .linalg import ordered_sum
 from .states import SINGLET_PAULI
@@ -46,19 +46,17 @@ class NotFinite(ValueError):
     """A fit quantity that leaves the floating-point range."""
 
 
-@dataclass(frozen=True)
-class AngleSettings:
+class AngleSettings(namedtuple("AngleSettings", "phi1 phi1p phi2 phi2p")):
     """Analyzer angles (degrees) in the order of the four-angle combination."""
 
-    phi1: float
-    phi1p: float
-    phi2: float
-    phi2p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("phi1", "phi1p", "phi2", "phi2p"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, phi1: float, phi1p: float, phi2: float, phi2p: float) -> AngleSettings:
+        self = super().__new__(cls, phi1, phi1p, phi2, phi2p)
+        for name, value in zip(cls._fields, self):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        return self
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """The four (phi_first, phi_second) angle pairs, combination order."""
@@ -70,62 +68,50 @@ class AngleSettings:
         )
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "phi1 phi2 n_pp n_pm n_mp n_mm")):
     """Coincidence counts for one analyzer angle pair, stored as ``int``."""
 
-    phi1: float
-    phi2: float
-    n_pp: int
-    n_pm: int
-    n_mp: int
-    n_mm: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
-            value = getattr(self, name)
+    def __new__(cls, phi1: float, phi2: float, n_pp: int, n_pm: int, n_mp: int, n_mm: int) -> CountTable:
+        counts = []
+        for name, value in zip(cls._fields[2:], (n_pp, n_pm, n_mp, n_mm)):
             # ``not value >= 0`` also rejects nan; inf would overflow int()
             if not value >= 0 or value == math.inf or value != int(value):
                 raise ValueError(f"counts must be nonnegative integers, got {name}={value}")
-            object.__setattr__(self, name, int(value))  # exact at any size
+            counts.append(int(value))  # exact at any size
+        return super().__new__(cls, phi1, phi2, *counts)
 
     @property
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
 
-@dataclass(frozen=True)
-class ChshDatum:
-    """One measured CHSH combination with its 1-sigma uncertainty."""
+class ChshDatum(namedtuple("ChshDatum", "settings r_exp dr_exp")):
+    """One measured CHSH combination (its :class:`AngleSettings`) with its 1-sigma uncertainty."""
 
-    settings: AngleSettings
-    r_exp: float
-    dr_exp: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("r_exp", "dr_exp"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, settings: AngleSettings, r_exp: float, dr_exp: float) -> ChshDatum:
+        for name, value in (("r_exp", r_exp), ("dr_exp", dr_exp)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if not (self.dr_exp > 0.0):
-            raise NonpositiveError(f"dr_exp must be positive, got {self.dr_exp}")
+        if not (dr_exp > 0.0):
+            raise NonpositiveError(f"dr_exp must be positive, got {dr_exp}")
+        return super().__new__(cls, settings, r_exp, dr_exp)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(namedtuple("FitResult", "gamma_hat chi2_at_min chi2_case1 chi2_case2 residuals singlet_values")):
     """Weighted least-squares fit of the mixing weight gamma.
 
     ``chi2_case1`` and ``chi2_case2`` evaluate the chi-square at gamma=1
     (pure singlet) and gamma=0.9 (the reference mixing level).
     ``singlet_values`` holds the pure-singlet prediction per datum and
-    ``residuals`` the normalized residuals at the fitted gamma.
+    ``residuals`` the normalized residuals at the fitted gamma, both as
+    tuples of ``float``.
     """
 
-    gamma_hat: float
-    chi2_at_min: float
-    chi2_case1: float
-    chi2_case2: float
-    residuals: tuple[float, ...]
-    singlet_values: tuple[float, ...]
+    __slots__ = ()
 
 
 def angle_to_direction(phi: float) -> tuple[float, float, float]:

@@ -31,12 +31,12 @@ depend on the thread count or on scheduling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 import itertools
 import math
 import operator
 import os
 import threading
+from collections import namedtuple
 
 from .protocol import CountTable, angle_to_direction, correlation
 from .states import DensityMatrix, PauliDecomposition, decompose
@@ -51,29 +51,28 @@ class SimConfigError(ValueError):
     """Angles, events per setting or seed that no simulation run accepts."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """One simulation run: state, angle pairs, events per pair, seed."""
+class SimConfig(namedtuple("SimConfig", "state settings events_per_setting seed")):
+    """One simulation run: a :class:`DensityMatrix`, angle pairs as a tuple of
+    ``(float, float)``, events per pair and seed as ``int``."""
 
-    state: DensityMatrix
-    settings: tuple[tuple[float, float], ...]
-    events_per_setting: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("events_per_setting", "seed"):
-            value = getattr(self, name)
+    def __new__(cls, state: DensityMatrix, settings, events_per_setting: int, seed: int) -> SimConfig:
+        ints = []
+        for name, value in (("events_per_setting", events_per_setting), ("seed", seed)):
             try:
-                object.__setattr__(self, name, operator.index(value))
+                ints.append(operator.index(value))
             except TypeError:
                 raise SimConfigError(f"{name} must be an integer, got {value!r}") from None
-        if self.events_per_setting < 1:
+        events_per_setting, seed = ints
+        if events_per_setting < 1:
             raise SimConfigError("events_per_setting must be >= 1")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= seed < 2**64):
             raise SimConfigError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "settings", tuple((float(p1), float(p2)) for p1, p2 in self.settings))
-        if not all(math.isfinite(phi) for pair in self.settings for phi in pair):
+        settings = tuple((float(p1), float(p2)) for p1, p2 in settings)
+        if not all(math.isfinite(phi) for pair in settings for phi in pair):
             raise SimConfigError("settings angles must be finite")
+        return super().__new__(cls, state, settings, events_per_setting, seed)
 
 
 def joint_probabilities(pd: PauliDecomposition, phi1: float, phi2: float) -> tuple[float, float, float, float]:

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .linalg import (PSD_FLOOR, NotPositive, Spectrum, as_square, hermitian_lists, jacobi_spectrum,
-                     ordered_sum)
+from .linalg import PSD_FLOOR, NotPositive, as_square, hermitian_lists, jacobi_spectrum, ordered_sum
 
 # The signed-permutation Paulis 1, sigma_x, sigma_y, sigma_z as (rows, phases):
 # column c has its one nonzero, phases[c], in row rows[c].
@@ -56,22 +55,20 @@ class GammaOutOfRange(ValueError):
     """Werner mixing weight outside [0, 1]."""
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(namedtuple("DensityMatrix", "mat spectrum")):
     """A validated two-qubit state. Build through :func:`validate`.
 
     ``mat`` is the lower triangle of the input, mirrored, with a real
     diagonal, as a tuple of rows, so it is exactly Hermitian; ``spectrum`` is
-    its eigendecomposition, which :func:`validate` computed for its
-    positivity check and :func:`bell.tangle` takes a factor of the state from.
+    its eigendecomposition (a ``linalg.Spectrum``), which :func:`validate`
+    computed for its positivity check and :func:`bell.tangle` takes a factor
+    of the state from.
     """
 
-    mat: tuple[tuple[complex, ...], ...]
-    spectrum: Spectrum
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PauliDecomposition:
+class PauliDecomposition(namedtuple("PauliDecomposition", "A P D")):
     """Bloch vectors and correlation matrix of a two-qubit state.
 
     ``A`` and ``P`` are the first- and second-particle Bloch vectors;
@@ -82,16 +79,14 @@ class PauliDecomposition:
     to :func:`compose` and rejected there.
     """
 
-    A: tuple[float, ...]
-    P: tuple[float, ...]
-    D: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "A", tuple(map(float, self.A)))
-        object.__setattr__(self, "P", tuple(map(float, self.P)))
-        object.__setattr__(self, "D", tuple(tuple(map(float, row)) for row in self.D))
-        if len(self.A) != 3 or len(self.P) != 3 or len(self.D) != 3 or any(len(row) != 3 for row in self.D):
+    def __new__(cls, A, P, D) -> PauliDecomposition:
+        A, P = tuple(map(float, A)), tuple(map(float, P))
+        D = tuple(tuple(map(float, row)) for row in D)
+        if len(A) != 3 or len(P) != 3 or len(D) != 3 or any(len(row) != 3 for row in D):
             raise ValueError("a Pauli decomposition needs A and P of length 3 and a 3x3 D")
+        return super().__new__(cls, A, P, D)
 
 
 def validate(mat) -> DensityMatrix:

@@ -200,6 +200,13 @@ def test_nul_byte_input_paths_exit_2(tmp_path, capsys, command):
     assert code == 2 and out == "" and err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
+def test_unreadable_input_paths_are_echoed_as_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "analyze", "--state", "./absent.json")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read state file ./absent.json: [Errno 2] No such file or directory: './absent.json'\n"
+
+
 def test_analyze_accepts_anti_hermitian_noise_inside_the_rule(tmp_path, capsys):
     # validate accepts these files; the Pauli expectations of its stored
     # matrix are exactly real, so analyze must not reject them later.  On the
@@ -477,6 +484,9 @@ GOLDEN_DIGESTS = {
     ("analyze --state matrix.json", "csv"): "1f9ef4c971576f78af31ee702d7c723f108c61e40f7185d7d0c2377ccc72e34d",
     ("analyze --state pauli.json", "json"): "0ba9c8bf575ff396f9bf90749a366ee1e150e471d8eeb606cf202c7d565101ee",
     ("analyze --state pauli.json", "csv"): "eb3fcdf02756167f6c6b4a56d459d0c5e2c67a80c221820d66c131850780ae5d",
+    ("sweep", "table"): "03b3b588e779668641bf5c110dc5fd3936d82d06ca4e7f31744dd01f5519a8b3",
+    ("sweep", "json"): "d8aaf3c4370f2e87e5b665710860cce9852195b26d9559f387cfe0368ac48421",
+    ("sweep", "csv"): "ee3f5db7328e418920cebb91e85e82350ab0d51efd4a547e7c0afcb8520a28cf",
 }
 
 
@@ -520,6 +530,15 @@ def test_importing_bellpair_leaves_numpy_unloaded():
     code = "import sys, bellpair, bellpair.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True,
                           timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_without_site_loads_no_costly_module():
+    # -S, because site may preload typing and pathlib itself (a .pth file of an installed package)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bellpair.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'typing', 'pathlib', 'numpy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(Path(cli.__file__).parents[1])],
+                          capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 

@@ -127,6 +127,22 @@ def test_load_data_missing_file(tmp_path):
         load_data(tmp_path / "absent.txt")
 
 
+@pytest.mark.parametrize("load, what", [(load_state, "state"), (load_data, "data"), (load_settings, "settings")])
+@pytest.mark.parametrize("path", ["./absent.txt", "sub//absent.txt", ""])
+def test_cannot_read_errors_echo_the_path_as_given(tmp_path, monkeypatch, load, what, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert str(err.value) == f"cannot read {what} file {path}: [Errno 2] No such file or directory: {path!r}"
+
+
+@pytest.mark.parametrize("load", [load_state, load_data, load_settings])
+def test_an_int_path_is_not_read_as_a_file_descriptor(load):
+    with pytest.raises(TypeError):
+        load(0)
+
+
 def test_counts_round_trip(tmp_path):
     tables = [
         CountTable(90.0, 45.0, 1, 2, 3, 4),
