@@ -49,7 +49,6 @@ from .states import (
     decompose,
     phi_minus,
     phi_plus,
-    product_state,
     purity,
     singlet,
     triplet0,
@@ -97,7 +96,6 @@ __all__ = [
     "joint_probabilities",
     "phi_minus",
     "phi_plus",
-    "product_state",
     "purity",
     "simulate",
     "singlet",

@@ -54,8 +54,7 @@ class AnalyzerDirections(namedtuple("AnalyzerDirections", "a a_prime b b_prime")
     __slots__ = ()
 
     def __new__(cls, a, a_prime, b, b_prime) -> AnalyzerDirections:
-        return super().__new__(cls, _unit3(a, "a"), _unit3(a_prime, "a_prime"), _unit3(b, "b"),
-                               _unit3(b_prime, "b_prime"))
+        return super().__new__(cls, *map(_unit3, (a, a_prime, b, b_prime), cls._fields))
 
 
 class BellReport(namedtuple("BellReport", "tangle M max_violation purity optimal")):

@@ -20,7 +20,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import __version__
-from .bell import BELL_LIMIT, horodecki_max
+from .bell import BELL_LIMIT, AnalyzerDirections, BellReport, horodecki_max
 from .dataset import (
     DATASET_VERSION,
     FLAG_THRESHOLD,
@@ -30,16 +30,7 @@ from .dataset import (
 )
 from .fileio import FileFormatError, counts_text, load_data, load_settings, load_state
 from .linalg import NotHermitian, NotPositive
-from .protocol import (
-    REFERENCE_GAMMA,
-    ChshDatum,
-    EmptyCounts,
-    EmptyData,
-    NonpositiveError,
-    NotFinite,
-    chi_square,
-    fit_gamma,
-)
+from .protocol import DEGENERATE_DATA, REFERENCE_GAMMA, AngleSettings, ChshDatum, EmptyData, chi_square, fit_gamma
 from .simulate import SimConfig, SimConfigError, simulate
 from .states import GammaOutOfRange, TraceNotOne, werner
 
@@ -95,10 +86,18 @@ def _write(
     return _render_table(columns, rows, footer)
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
 def _render_csv(columns: list[_Column], rows: list[list], comments: list[str]) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(column.name for column in columns))
-    lines.extend(",".join(cell if isinstance(cell, str) else repr(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -154,17 +153,17 @@ def _manifest_comments(manifest: dict) -> list[str]:
 
 # --- analyze -----------------------------------------------------------------
 
-# JSON/CSV name and table label of each optimal analyzer direction
-_DIRECTIONS = (("a", "a"), ("a_prime", "a'"), ("b", "b"), ("b_prime", "b'"))
+# JSON keys and CSV columns before the directions: every report field but ``optimal``
+_ANALYZE_KEYS = (*BellReport._fields[:-1], "violates")
 _QUANTITY_COLUMNS = [_Column("quantity"), _Column("value")]
-_ANALYZE_COLUMNS = [_Column(key) for key in ("tangle", "M", "max_violation", "purity", "violates")]
-_ANALYZE_COLUMNS += [_Column(f"{name}_{axis}") for name, _ in _DIRECTIONS for axis in "xyz"]
+_ANALYZE_COLUMNS = [_Column(key) for key in _ANALYZE_KEYS]
+_ANALYZE_COLUMNS += [_Column(f"{name}_{axis}") for name in AnalyzerDirections._fields for axis in "xyz"]
 
 
 def cmd_analyze(args: argparse.Namespace) -> str:
     report = horodecki_max(load_state(args.state))
-    optimal = None if report.optimal is None else {name: getattr(report.optimal, name) for name, _ in _DIRECTIONS}
-    body = {key: getattr(report, key) for key in ("tangle", "M", "max_violation", "purity", "violates")}
+    optimal = None if report.optimal is None else report.optimal._asdict()
+    body = {key: getattr(report, key) for key in _ANALYZE_KEYS}
     body["optimal"] = optimal
     columns, rows = _ANALYZE_COLUMNS, []  # JSON writes the body alone
     if args.format == "table":  # one quantity per line
@@ -173,13 +172,13 @@ def cmd_analyze(args: argparse.Namespace) -> str:
         rows.append(["violates_chsh", "yes" if report.violates else "no"])
         if optimal is None:
             rows.append(["optimal settings", "undefined (degenerate correlation matrix)"])
-        else:
-            rows += [[f"optimal {label}", optimal[name]] for name, label in _DIRECTIONS]
+        else:  # a_prime is labelled a'
+            rows += [["optimal " + name.replace("_prime", "'"), value] for name, value in optimal.items()]
     elif args.format == "csv":  # one row, the directions split into components
-        row = [report.tangle, report.M, report.max_violation, report.purity, str(report.violates).lower()]
-        for name, _ in _DIRECTIONS:
-            row += optimal[name] if optimal is not None else ["", "", ""]
-        rows = [row]
+        row = [body[key] for key in _ANALYZE_KEYS]
+        if optimal is not None:
+            row += [x for direction in optimal.values() for x in direction]
+        rows = [row + [""] * (len(_ANALYZE_COLUMNS) - len(row))]  # empty cells for undefined directions
     manifest = _manifest("analyze", {"state": str(args.state)}, args.format)
     return _write(args.format, manifest, body, columns, rows)
 
@@ -227,31 +226,30 @@ def cmd_sweep(args: argparse.Namespace) -> str:
 
 # --- table1 ------------------------------------------------------------------
 
-_ANGLE_COLUMNS = [_Column(name, "g") for name in ("phi1", "phi1p", "phi2", "phi2p")]
+_ANGLE_COLUMNS = [_Column(name, "g") for name in AngleSettings._fields]
 _TABLE1_COLUMNS = [
     *_ANGLE_COLUMNS,
     *(_Column(name, ".2f") for name in ("case1", "pub1", "case2", "pub2", "r_exp", "dr_exp")),
     _Column("flags"),
 ]
-_TABLE1_KEYS = ("phi1", "phi1p", "phi2", "phi2p", "case1", "case1_published", "case1_flag",
+_TABLE1_KEYS = (*AngleSettings._fields, "case1", "case1_published", "case1_flag",
                 "case2", "case2_published", "case2_flag", "r_exp", "dr_exp")  # JSON, in this order
 
 
 def cmd_table1(args: argparse.Namespace) -> str:
     data = embedded_data()
-    fit = fit_gamma(data)  # case 1 is the singlet model gamma * S at gamma = 1, case 2 at 0.9
+    fit = fit_gamma(data)  # case 1 is the singlet model gamma * S at gamma = 1, case 2 at REFERENCE_GAMMA
     records, rows = [], []
     for datum, case1, pub1, pub2 in zip(data, fit.singlet_values, PUBLISHED_CASE1, PUBLISHED_CASE2):
         s = datum.settings
         case2 = REFERENCE_GAMMA * case1
         flag1 = abs(case1 - pub1) > FLAG_THRESHOLD
         flag2 = abs(case2 - pub2) > FLAG_THRESHOLD
-        records.append(dict(zip(_TABLE1_KEYS, (s.phi1, s.phi1p, s.phi2, s.phi2p, case1, pub1, flag1,
-                                               case2, pub2, flag2, datum.r_exp, datum.dr_exp))))
+        records.append(dict(zip(_TABLE1_KEYS, (*s, case1, pub1, flag1, case2, pub2, flag2,
+                                               datum.r_exp, datum.dr_exp))))
         flags = [f"case{k}:{r:.4f}!={p:.2f}"
                  for k, r, p, flagged in ((1, case1, pub1, flag1), (2, case2, pub2, flag2)) if flagged]
-        rows.append([s.phi1, s.phi1p, s.phi2, s.phi2p, case1, pub1, case2, pub2,
-                     datum.r_exp, datum.dr_exp, " ".join(flags)])
+        rows.append([*s, case1, pub1, case2, pub2, datum.r_exp, datum.dr_exp, " ".join(flags)])
     chi2 = {
         "chi2_case1": fit.chi2_case1,
         "chi2_case2": fit.chi2_case2,
@@ -259,9 +257,9 @@ def cmd_table1(args: argparse.Namespace) -> str:
     }
     footer = [
         f"chi2 case 1 (recomputed)        : {chi2['chi2_case1']:.2f}",
-        f"chi2 case 2 (recomputed, g=0.9) : {chi2['chi2_case2']:.2f}",
+        f"chi2 case 2 (recomputed, g={REFERENCE_GAMMA}) : {chi2['chi2_case2']:.2f}",
         f"chi2 case 2 (published column)  : {chi2['chi2_case2_published_column']:.2f}",
-        "flags mark recomputed cells more than 0.005 from the published value",
+        f"flags mark recomputed cells more than {FLAG_THRESHOLD} from the published value",
     ]
     manifest = _manifest("table1", {"dataset_version": DATASET_VERSION}, args.format)
     comments = [f"{k}: {v!r}" for k, v in chi2.items()]
@@ -279,6 +277,13 @@ _FIT_COLUMNS = [
     _Column("residual"),
 ]
 _CURVE_COLUMNS = [_Column("gamma"), _Column("chi2")]
+# the fit summary: each JSON/CSV key, a FitResult field, with its table footer line
+_FIT_SUMMARY = (
+    ("gamma_hat", "gamma_hat   : {:.4g}"),
+    ("chi2_at_min", "chi2 at min : {:.4g}"),
+    ("chi2_case1", "chi2 case 1 : {:.4g} (gamma=1)"),
+    ("chi2_case2", f"chi2 case 2 : {{:.4g}} (gamma={REFERENCE_GAMMA})"),
+)
 
 
 def _chi2_curve(data: list[ChshDatum], singlet_values: tuple[float, ...]) -> list[list]:
@@ -299,25 +304,12 @@ def cmd_fit(args: argparse.Namespace) -> str:
         source = str(args.data)
     result = fit_gamma(data)
     curve = _chi2_curve(data, result.singlet_values)
-    rows = [
-        [d.settings.phi1, d.settings.phi1p, d.settings.phi2, d.settings.phi2p,
-         d.r_exp, d.dr_exp, s, result.gamma_hat * s, res]
-        for d, s, res in zip(data, result.singlet_values, result.residuals)
-    ]
-    summary = {
-        "gamma_hat": result.gamma_hat,
-        "chi2_at_min": result.chi2_at_min,
-        "chi2_case1": result.chi2_case1,
-        "chi2_case2": result.chi2_case2,
-    }
+    rows = [[*d.settings, d.r_exp, d.dr_exp, s, result.gamma_hat * s, res]
+            for d, s, res in zip(data, result.singlet_values, result.residuals)]
+    summary = {key: getattr(result, key) for key, _ in _FIT_SUMMARY}
     body = {**summary, "residuals": _records(_FIT_COLUMNS, rows), "chi2_curve": _records(_CURVE_COLUMNS, curve)}
     comments = [f"{k}: {v!r}" for k, v in summary.items()] + ["block: residuals"]
-    footer = [
-        f"gamma_hat   : {result.gamma_hat:.4g}",
-        f"chi2 at min : {result.chi2_at_min:.4g}",
-        f"chi2 case 1 : {result.chi2_case1:.4g} (gamma=1)",
-        f"chi2 case 2 : {result.chi2_case2:.4g} (gamma={REFERENCE_GAMMA})",
-    ]
+    footer = [line.format(summary[key]) for key, line in _FIT_SUMMARY]
     manifest = _manifest("fit", {"data": source}, args.format)
     return _write(args.format, manifest, body, _FIT_COLUMNS, rows, comments, footer,
                   blocks=[("block: chi2_curve", _CURVE_COLUMNS, curve)])
@@ -407,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotHermitian, TraceNotOne, NotPositive, GammaOutOfRange) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_STATE
-    except (EmptyData, EmptyCounts, NonpositiveError, NotFinite) as exc:
+    except DEGENERATE_DATA as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     if args.out:

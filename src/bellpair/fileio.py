@@ -33,15 +33,7 @@ import os
 from collections.abc import Callable, Sequence
 
 from . import states
-from .protocol import (
-    AngleSettings,
-    ChshDatum,
-    CountTable,
-    EmptyCounts,
-    NonpositiveError,
-    NotFinite,
-    group_counts,
-)
+from .protocol import DEGENERATE_DATA, AngleSettings, ChshDatum, CountTable, group_counts
 
 COUNTS_MARKER = "# format: counts"
 
@@ -160,8 +152,8 @@ def load_data(path: str | os.PathLike) -> list[ChshDatum]:
     tables = _parse_counts(text)
     try:
         return group_counts(tables)
-    except (EmptyCounts, NonpositiveError, NotFinite):
-        raise  # degenerate data
+    except DEGENERATE_DATA:
+        raise
     except ValueError as exc:
         raise FileFormatError(f"counts file does not group into CHSH settings: {exc}") from None
 
@@ -178,7 +170,7 @@ def counts_text(tables: Sequence[CountTable], header_lines: Sequence[str] = ()) 
     """Render count tables in the counts file format (with format marker)."""
     lines = [COUNTS_MARKER]
     lines += [f"# {line}" for line in header_lines]
-    lines.append("# phi1, phi2, n_pp, n_pm, n_mp, n_mm")
+    lines.append("# " + ", ".join(CountTable._fields))
     for t in tables:
         lines.append(f"{float(t.phi1)!r}, {float(t.phi2)!r}, {t.n_pp}, {t.n_pm}, {t.n_mp}, {t.n_mm}")
     return "\n".join(lines) + "\n"

@@ -59,15 +59,6 @@ class Spectrum(namedtuple("Spectrum", "eigenvalues eigenvectors")):
     __slots__ = ()
 
 
-def as_square(m, n: int, dtype: type) -> list[list]:
-    """``m``, an array or nested sequence, as fresh n x n lists of ``dtype`` scalars;
-    ValueError for any other shape."""
-    a = [[dtype(x) for x in row] for row in m]
-    if len(a) != n or any(len(row) != n for row in a):
-        raise ValueError(f"expected a {n}x{n} matrix")
-    return a
-
-
 def ordered_sum(values) -> float:
     """Floats added left to right, uncompensated: ``sum`` as CPython adds them
     before 3.12 (3.12's ``sum`` compensates, which moves last bits)."""
@@ -77,10 +68,14 @@ def ordered_sum(values) -> float:
     return total
 
 
-def hermitian_lists(a: list[list]) -> list[list]:
-    """Set square lists to their lower triangle, its conjugate mirror and the real
-    diagonal, in place.  Raises NotHermitian unless the magnitudes are finite and sum
-    to at most 1e150 (the rotations square them) and max|m - m^dag| <= 1e-10."""
+def hermitian_lists(m, n: int, dtype: type) -> list[list]:
+    """``m``, an array or nested sequence, read into fresh n x n lists of ``dtype``
+    scalars, then set to its lower triangle, the triangle's conjugate mirror and the real
+    diagonal.  ValueError for any other shape; NotHermitian unless the magnitudes are
+    finite and sum to at most 1e150 (the rotations square them) and max|m - m^dag| <= 1e-10."""
+    a = [[dtype(x) for x in row] for row in m]
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError(f"expected a {n}x{n} matrix")
     total = 0.0
     try:
         for row in a:  # row sums, added left to right, then added up in row order
@@ -191,24 +186,33 @@ def jacobi_spectrum(a: list[list]) -> Spectrum:
                     eigenvectors=tuple(tuple(cols[k][i] for k in final) for i in range(n)))
 
 
+def check_psd(w) -> None:
+    """Raise NotPositive for an eigenvalue below -1e-8 in a spectrum from
+    :func:`jacobi_spectrum`.  It is descending but for the 1e-12 tie-break inside
+    degenerate runs, so a negative eigenvalue leaves ``w[-1]`` negative; only then
+    is the minimum taken."""
+    if w[-1] < 0.0 and min(w) < PSD_FLOOR:
+        raise NotPositive(f"eigenvalue {min(w):.3e} below {PSD_FLOOR}")
+
+
 def eig_hermitian(m) -> Spectrum:
     """Eigendecomposition of a complex Hermitian 4x4 matrix.
 
     Raises NotHermitian if ``max|m - m^dag| > 1e-10`` and NoConvergence if
     the sweep cap is exceeded.
     """
-    return jacobi_spectrum(hermitian_lists(as_square(m, 4, complex)))
+    return jacobi_spectrum(hermitian_lists(m, 4, complex))
 
 
 def eigvals_hermitian(m) -> list[float]:
     """Descending eigenvalues alone; input and checks as in :func:`eig_hermitian`."""
-    return sorted(_jacobi(hermitian_lists(as_square(m, 4, complex))), reverse=True)
+    return sorted(_jacobi(hermitian_lists(m, 4, complex)), reverse=True)
 
 
 def eig_symmetric3(m) -> Spectrum:
     """Eigendecomposition of a real symmetric 3x3 matrix, with ``float`` eigenvectors;
     checks as in :func:`eig_hermitian`."""
-    return jacobi_spectrum(hermitian_lists(as_square(m, 3, float)))
+    return jacobi_spectrum(hermitian_lists(m, 3, float))
 
 
 def sqrt_psd(m) -> tuple[tuple[complex, ...], ...]:
@@ -219,9 +223,7 @@ def sqrt_psd(m) -> tuple[tuple[complex, ...], ...]:
     with its lower triangle mirrored, so it is exactly Hermitian.
     """
     spec = eig_hermitian(m)
-    w_min = min(spec.eigenvalues)
-    if w_min < PSD_FLOOR:
-        raise NotPositive(f"eigenvalue {w_min:.3e} below {PSD_FLOOR}")
+    check_psd(spec.eigenvalues)
     v, roots = spec.eigenvectors, [math.sqrt(max(0.0, x)) for x in spec.eigenvalues]
     low = [[ordered_sum(x * r * y.conjugate() for x, r, y in zip(v[i], roots, v[j])) for j in range(i + 1)] for i in range(4)]
     return tuple(tuple(low[i][j] if j < i else low[i][i].real if j == i else low[j][i].conjugate() for j in range(4))

@@ -46,6 +46,10 @@ class NotFinite(ValueError):
     """A fit quantity that leaves the floating-point range."""
 
 
+# empty or degenerate data, as opposed to malformed input: exit 4 in the CLI
+DEGENERATE_DATA = (EmptyData, EmptyCounts, NonpositiveError, NotFinite)
+
+
 class AngleSettings(namedtuple("AngleSettings", "phi1 phi1p phi2 phi2p")):
     """Analyzer angles (degrees) in the order of the four-angle combination."""
 
@@ -93,7 +97,7 @@ class ChshDatum(namedtuple("ChshDatum", "settings r_exp dr_exp")):
     __slots__ = ()
 
     def __new__(cls, settings: AngleSettings, r_exp: float, dr_exp: float) -> ChshDatum:
-        for name, value in (("r_exp", r_exp), ("dr_exp", dr_exp)):
+        for name, value in zip(cls._fields[1:], (r_exp, dr_exp)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if not (dr_exp > 0.0):
@@ -128,10 +132,14 @@ def correlation(d, phi1: float, phi2: float) -> float:
     return s1 * (d_xx * s2 + d_xz * c2) + c1 * (d_zx * s2 + d_zz * c2)
 
 
+def _combination(e: Sequence[float]) -> float:
+    """|e0 + e1 + e2 - e3| for the correlations of the four pairs, combination order."""
+    return abs(e[0] + e[1] + e[2] - e[3])
+
+
 def chsh_value(d, s: AngleSettings) -> float:
     """Absolute value of the four-angle CHSH combination for correlation matrix ``d``."""
-    e = [correlation(d, p1, p2) for p1, p2 in s.pairs()]
-    return abs(e[0] + e[1] + e[2] - e[3])
+    return _combination([correlation(d, p1, p2) for p1, p2 in s.pairs()])
 
 
 def estimate_correlation(c: CountTable) -> tuple[float, float]:
@@ -166,9 +174,8 @@ def chsh_datum_from_counts(tables: Sequence[CountTable]) -> ChshDatum:
         raise ValueError("second-analyzer angles do not form a CHSH quadruple")
     settings = AngleSettings(phi1=t11.phi1, phi1p=t21.phi1, phi2=t11.phi2, phi2p=t12.phi2)
     estimates = [estimate_correlation(t) for t in tables]
-    combo = estimates[0][0] + estimates[1][0] + estimates[2][0] - estimates[3][0]
     err = math.sqrt(ordered_sum(sig * sig for _, sig in estimates))
-    return ChshDatum(settings=settings, r_exp=abs(combo), dr_exp=err)
+    return ChshDatum(settings=settings, r_exp=_combination([e for e, _ in estimates]), dr_exp=err)
 
 
 def chi_square(data: Sequence[ChshDatum], predictions: Sequence[float]) -> float:

@@ -59,7 +59,7 @@ class SimConfig(namedtuple("SimConfig", "state settings events_per_setting seed"
 
     def __new__(cls, state: DensityMatrix, settings, events_per_setting: int, seed: int) -> SimConfig:
         ints = []
-        for name, value in (("events_per_setting", events_per_setting), ("seed", seed)):
+        for name, value in zip(cls._fields[2:], (events_per_setting, seed)):
             try:
                 ints.append(operator.index(value))
             except TypeError:
@@ -146,7 +146,4 @@ def simulate(cfg: SimConfig) -> list[CountTable]:
         thread.join()
     if errors:
         raise errors[min(errors)]
-    return [
-        CountTable(phi1=phi1, phi2=phi2, n_pp=n_pp, n_pm=n_pm, n_mp=n_mp, n_mm=n_mm)
-        for (phi1, phi2), (n_pp, n_pm, n_mp, n_mm) in zip(cfg.settings, counts)
-    ]
+    return [CountTable(*pair, *pair_counts) for pair, pair_counts in zip(cfg.settings, counts)]

@@ -25,7 +25,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .linalg import PSD_FLOOR, NotPositive, as_square, hermitian_lists, jacobi_spectrum, ordered_sum
+from .linalg import check_psd, hermitian_lists, jacobi_spectrum, ordered_sum
 
 # The signed-permutation Paulis 1, sigma_x, sigma_y, sigma_z as (rows, phases):
 # column c has its one nonzero, phases[c], in row rows[c].
@@ -91,17 +91,13 @@ class PauliDecomposition(namedtuple("PauliDecomposition", "A P D")):
 
 def validate(mat) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; keep the matrix it diagonalized."""
-    a = hermitian_lists(as_square(mat, 4, complex))
+    a = hermitian_lists(mat, 4, complex)
     tr = ordered_sum(row[i] for i, row in enumerate(a))  # the real diagonal of the kept matrix
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr:.12g}, expected 1")
     kept = tuple(map(tuple, a))  # before the rotations overwrite ``a``
     spec = jacobi_spectrum(a)
-    w = spec.eigenvalues
-    # descending but for the 1e-12 tie-break inside degenerate runs, so a
-    # negative eigenvalue leaves w[-1] negative; only then is the minimum taken
-    if w[-1] < 0.0 and min(w) < PSD_FLOOR:
-        raise NotPositive(f"eigenvalue {min(w):.3e} below {PSD_FLOOR}")
+    check_psd(spec.eigenvalues)
     return DensityMatrix(kept, spec)
 
 
@@ -204,9 +200,3 @@ def werner(gamma: float) -> DensityMatrix:
         raise GammaOutOfRange(f"gamma must be in [0, 1], got {gamma}")
     return validate([[(1.0 - gamma) * q + gamma * p for q, p in zip(q_row, p_row)]
                      for q_row, p_row in zip(_QUARTER_ID, _outer(_SINGLET_KET))])
-
-
-def product_state(a, p) -> DensityMatrix:
-    """Uncorrelated pair with local Bloch vectors ``a`` and ``p``: A = a, P = p, D = a p^T."""
-    a, p = tuple(map(float, a)), tuple(map(float, p))
-    return compose(PauliDecomposition(A=a, P=p, D=[[x * y for y in p] for x in a]))

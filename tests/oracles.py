@@ -19,6 +19,8 @@ correlation take D from that oracle, not from the ``decompose`` it checks,
 and the fit oracle takes its pure-singlet S_i from that correlation.
 ``refine_directions`` climbs to the CHSH optimum by alternating exact
 updates instead of constructing it from the Gram spectrum of D.
+``product_state`` is no oracle: it builds uncorrelated test states through
+``compose``.
 """
 import math
 
@@ -28,7 +30,7 @@ import numpy as np
 from bellpair.bell import DEGENERATE_NORM, AnalyzerDirections
 from bellpair.linalg import DEGENERACY_TOL, MAX_SWEEPS, OFFDIAG_TOL, Spectrum
 from bellpair.protocol import angle_to_direction, chi_square
-from bellpair.states import DensityMatrix, decompose, singlet
+from bellpair.states import DensityMatrix, PauliDecomposition, compose, decompose, singlet
 
 _SY = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SY, _SY)
@@ -336,3 +338,9 @@ def compose_kron(a: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
         for j, sj in enumerate(_PAULIS):
             m += d[i, j] * np.kron(si, sj)
     return m / 4.0
+
+
+def product_state(a, p) -> DensityMatrix:
+    """Uncorrelated pair with local Bloch vectors ``a`` and ``p``: A = a, P = p, D = a p^T."""
+    a, p = tuple(map(float, a)), tuple(map(float, p))
+    return compose(PauliDecomposition(A=a, P=p, D=[[x * y for y in p] for x in a]))

@@ -5,9 +5,9 @@ import pytest
 
 from bellpair.bell import AnalyzerDirections, NonUnitDirection, horodecki_max, tangle
 from bellpair.protocol import angle_to_direction
-from bellpair.states import DensityMatrix, decompose, product_state, singlet, unpolarized, validate, werner
+from bellpair.states import DensityMatrix, decompose, singlet, unpolarized, validate, werner
 from conftest import haar_unitary2, random_density_matrix, random_mixture, random_unit3
-from oracles import bell_mean, bell_mean_batch, refine_directions, tangle_charpoly, tangle_factor_mp
+from oracles import bell_mean, bell_mean_batch, product_state, refine_directions, tangle_charpoly, tangle_factor_mp
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 

@@ -457,9 +457,10 @@ def test_csv_reads_back_every_float_exactly(tmp_path, capsys):
 
 # SHA-256 of stdout for fixed inputs.  A digest that moves is a visible
 # output change, to be announced.  The data has an angle that needs all its
-# digits, so the CSV digests also pin lossless angle fields.  The two states
-# are full rank and entangled, so ``analyze`` prints every field and all four
-# directions; their digests pin the Jacobi, tangle and settings arithmetic.
+# digits, so the CSV digests also pin lossless angle fields.  The matrix and
+# Pauli states are full rank and entangled, so ``analyze`` prints every field
+# and all four directions; their digests pin the Jacobi, tangle and settings
+# arithmetic.  The Werner and named states cover the other two state kinds.
 GOLDEN_DATA = "12.3456789, 0.1, 45, 135, 1.9, 0.2\n50, 0, 25, 75, 2.3, 0.3\n90, 0, 45, 135, 2.2, 0.25\n"
 GOLDEN_STATES = {
     "matrix.json": {"kind": "matrix",
@@ -469,7 +470,10 @@ GOLDEN_STATES = {
                            [0.02, -0.1, 0, 0.01], [-0.005, 0.02, -0.01, 0]]},
     "pauli.json": {"kind": "pauli", "A": [0.1, -0.2, 0.05], "P": [0.0, 0.15, -0.1],
                    "D": [[-0.6, 0.1, 0.05], [0.02, -0.55, 0.1], [0.0, -0.05, -0.7]]},
+    "werner.json": {"kind": "werner", "gamma": 0.8},
+    "named.json": {"kind": "named", "name": "phi_minus"},
 }
+GOLDEN_SETTINGS = "0, 45, 22.5, 67.5\n"  # one CHSH row: four count rows
 GOLDEN_DIGESTS = {
     ("table1", "table"): "79f351e4ef4b949b41d4f0477a89bc65e0aa86a6829e2acf97291bc32fb9c2ba",
     ("table1", "json"): "8d53714509633b569db4a42fd75495cf14045c3f5bb7559a5b3c5c4d5c0bb420",
@@ -487,6 +491,17 @@ GOLDEN_DIGESTS = {
     ("sweep", "table"): "03b3b588e779668641bf5c110dc5fd3936d82d06ca4e7f31744dd01f5519a8b3",
     ("sweep", "json"): "d8aaf3c4370f2e87e5b665710860cce9852195b26d9559f387cfe0368ac48421",
     ("sweep", "csv"): "ee3f5db7328e418920cebb91e85e82350ab0d51efd4a547e7c0afcb8520a28cf",
+    ("analyze --state matrix.json", "table"): "912a3b4e7509c024796a657aa1d3769212af13d44c91d0f893ac7430c61908e7",
+    ("analyze --state pauli.json", "table"): "93b1baac74ef633ee2f2240342ac902f0a8034b4b1ea7a904021bdb618c55b85",
+    ("analyze --state werner.json", "table"): "be0efae9fb3968dab9cccc8183c4cdf814d4c206243916fbf83c041d4318a73b",
+    ("analyze --state werner.json", "json"): "7e0a16e3dcca3640a0b0b41d56ade920e57c9de9a3b5ed8298628aa50e68da94",
+    ("analyze --state werner.json", "csv"): "cd0695b19913de432b6894c505b77d0ffffe41c5e1921ca23bb720bf3c4a23ec",
+    ("analyze --state named.json", "table"): "9b2874842850f5810b4044e28eeca9c489131460e7a5e4ac13dd5b738186d628",
+    ("analyze --state named.json", "json"): "96acf5d3500f08e4b53393dfba7631498da73c18e8a67db2ede97135126a915a",
+    ("analyze --state named.json", "csv"): "0fb067d6cff1fc513d8cf2779830ce04ddeeafd3064fe237c9b2a021641b06b2",
+    # the whole counts text: format marker, manifest comments, column header and rows
+    ("simulate --state werner.json --settings settings.txt --events 1000 --seed 1", "table"):
+        "2268397b1dcb40f2073b3916906823bb9e9687bc17d9ae65a576cb5252e6e8bf",
 }
 
 
@@ -494,6 +509,7 @@ GOLDEN_DIGESTS = {
 def test_golden_output_digests(tmp_path, monkeypatch, capsys, command, fmt):
     monkeypatch.chdir(tmp_path)  # the manifest names the input files by the paths given
     (tmp_path / "data.txt").write_text(GOLDEN_DATA)
+    (tmp_path / "settings.txt").write_text(GOLDEN_SETTINGS)
     for name, doc in GOLDEN_STATES.items():
         (tmp_path / name).write_text(json.dumps(doc))
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
@@ -544,15 +560,13 @@ def test_importing_the_cli_without_site_loads_no_costly_module():
 
 def test_every_command_but_simulate_runs_without_numpy(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    states = {**GOLDEN_STATES, "werner.json": {"kind": "werner", "gamma": 0.8},
-              "named.json": {"kind": "named", "name": "phi_minus"}}
-    for name, doc in states.items():
+    for name, doc in GOLDEN_STATES.items():
         (tmp_path / name).write_text(json.dumps(doc))
     (tmp_path / "data.txt").write_text(GOLDEN_DATA)
-    (tmp_path / "settings.txt").write_text("0, 45, 22.5, 67.5\n")
+    (tmp_path / "settings.txt").write_text(GOLDEN_SETTINGS)
     assert main(["simulate", "--state", "werner.json", "--settings", "settings.txt", "--events", "1000",
                  "--seed", "1", "--out", "counts.txt"]) == 0
-    commands = [["analyze", "--state", name] for name in states]
+    commands = [["analyze", "--state", name] for name in GOLDEN_STATES]
     commands += [["sweep"], ["table1"], ["fit", "--embedded"], ["fit", "--data", "data.txt"],
                  ["fit", "--data", "counts.txt"]]
     argvs = [[*command, "--format", fmt] for command in commands for fmt in ("table", "json", "csv")]
@@ -756,6 +770,13 @@ def test_out_is_utf8_under_an_ascii_locale(tmp_path):
 
 def test_version_flag(capsys):
     assert run(capsys, "--version") == (0, f"bellpair {__version__}\n", "")
+
+
+def test_both_module_entry_points_print_the_version():
+    for module in ("bellpair", "bellpair.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "--version"], env=_package_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"bellpair {__version__}\n", "")
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--step", "abc"], ["fit"], ["bogus"], [],

@@ -17,8 +17,8 @@ from bellpair.fileio import (
     _parse_counts,
 )
 from bellpair.protocol import AngleSettings, CountTable, group_counts
-from bellpair.linalg import NotHermitian
-from bellpair.states import NotPositive, TraceNotOne, singlet, unpolarized, werner
+from bellpair.linalg import NotHermitian, NotPositive
+from bellpair.states import TraceNotOne, singlet, unpolarized, werner
 
 
 def write(tmp_path, name, text):

@@ -195,6 +195,34 @@ def test_sqrt_psd_rejects_indefinite():
         sqrt_psd(np.diag([1.0, 1.0, -1e-6, 1.0]))
 
 
+def _psd_outcomes(diagonal):
+    """What ``validate`` and ``sqrt_psd`` make of one unit-trace diagonal matrix:
+    None for an accepted matrix, else the NotPositive message."""
+    outcomes = []
+    for check in (validate, sqrt_psd):
+        try:
+            check(np.diag(diagonal))
+        except NotPositive as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(None)
+    return outcomes
+
+
+def test_validate_and_sqrt_psd_share_one_psd_rule():
+    assert _psd_outcomes([0.5, 0.3, 0.2 + 0.5e-8, -0.5e-8]) == [None, None]
+    assert _psd_outcomes([0.5, 0.3, 0.2 + 2e-8, -2e-8]) == ["eigenvalue -2.000e-08 below -1e-08"] * 2
+
+
+def test_psd_rule_reports_the_smaller_of_a_near_degenerate_pair():
+    # the pair is one degenerate run, whose tie-break puts e_3 before e_2, so the
+    # smaller eigenvalue is not last in the spectrum; both must still name it
+    low, lower = -1.00049999e-8, -1.00050001e-8
+    outcomes = _psd_outcomes([0.6, 0.4 - low - lower, low, lower])
+    assert outcomes == ["eigenvalue -1.001e-08 below -1e-08"] * 2
+    assert eig_hermitian(np.diag([0.6, 0.4 - low - lower, low, lower])).eigenvalues[-1] == low
+
+
 def test_degenerate_ordering_is_deterministic():
     m = werner(0.9).mat
     a = eig_hermitian(m)
@@ -231,7 +259,7 @@ def test_hermitian4_eigenvalues_bitwise_equal_two_sided_rotations(seed, rank):
 
 def raw_jacobi(m, n, dtype):
     """Unsorted eigenvalues and eigenvectors straight from ``linalg._jacobi``."""
-    a = linalg.hermitian_lists(linalg.as_square(m, n, dtype))
+    a = linalg.hermitian_lists(m, n, dtype)
     v = np.eye(n).tolist()
     w = linalg._jacobi(a, v)
     return np.array(w), np.array(v, dtype=dtype)
@@ -271,7 +299,7 @@ def test_symmetric3_real_route_bitwise_equal_complex_route(seed):
     g = np.random.default_rng(seed).normal(size=(3, 3))
     m = g @ g.T if seed % 2 else g + g.T
     real = eig_symmetric3(m)
-    cplx = linalg.jacobi_spectrum(linalg.hermitian_lists(linalg.as_square(m, 3, complex)))
+    cplx = linalg.jacobi_spectrum(linalg.hermitian_lists(m, 3, complex))
     assert all(type(x) is float for row in real.eigenvectors for x in row)
     assert real.eigenvalues == cplx.eigenvalues
     assert not np.any(np.asarray(cplx.eigenvectors).imag)
