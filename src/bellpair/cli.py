@@ -402,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except DEGENERATE_DATA as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    if args.out:
+    if args.out is not None:
         try:
             data = text.encode("utf-8", "surrogateescape")  # UTF-8 whatever the locale; argv bytes round-trip
             with open(args.out, "wb") as fh:

@@ -69,7 +69,12 @@ class SimConfig(namedtuple("SimConfig", "state settings events_per_setting seed"
             raise SimConfigError("events_per_setting must be >= 1")
         if not (0 <= seed < 2**64):
             raise SimConfigError("seed must be a 64-bit unsigned integer")
-        settings = tuple((float(p1), float(p2)) for p1, p2 in settings)
+        try:
+            settings = tuple((float(p1), float(p2)) for p1, p2 in settings)
+        except (TypeError, ValueError):
+            raise SimConfigError("settings must be (phi1, phi2) pairs of numbers") from None
+        except OverflowError:  # an int beyond the float range
+            raise SimConfigError("settings angles must be finite") from None
         if not all(math.isfinite(phi) for pair in settings for phi in pair):
             raise SimConfigError("settings angles must be finite")
         return super().__new__(cls, state, settings, events_per_setting, seed)

@@ -1,12 +1,45 @@
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
+import bellpair.simulate as sim
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Prints the bellpair submodules a fresh ``import bellpair`` loads, and the
+# package's bindings other than those the import system gives every package.
+_FRESH_IMPORT = """
+import json, sys
 import bellpair
+machinery = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__", "__package__",
+             "__path__", "__spec__"}
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("bellpair.")),
+                  sorted(set(vars(bellpair)) - machinery)]))
+"""
 
 
-def test_all_lists_exactly_the_public_names_the_package_binds():
-    bound = {name for name, value in vars(bellpair).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert sorted(bellpair.__all__) == sorted(bound)
-    assert len(set(bellpair.__all__)) == len(bellpair.__all__)
-    for name in bellpair.__all__:
-        assert getattr(bellpair, name) is not None
+def test_importing_the_package_loads_no_submodule_and_binds_only_the_version():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], ["__version__"]]
+
+
+def test_a_submodule_imported_as_a_name_is_the_module():
+    assert isinstance(sim, types.ModuleType) and sim.__name__ == "bellpair.simulate"
+    assert callable(sim.simulate) and sim.simulate.__module__ == "bellpair.simulate"
+
+
+def test_every_name_the_benchmark_traces_is_a_callable_of_its_module():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for short, names in tracing.TRACED.items():
+        module = importlib.import_module(f"bellpair.{short}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"bellpair.{short}.{name}"

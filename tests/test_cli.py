@@ -794,3 +794,9 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     code, out, err = run(capsys, "analyze", "--state", state, "--out", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_empty_out_path_is_a_missing_file_not_stdout(tmp_path, capsys):
+    state = state_file(tmp_path, {"kind": "named", "name": "singlet"})
+    assert run(capsys, "analyze", "--state", state, "--out", "") == (
+        2, "", "error: cannot write : No such file or directory\n")

@@ -152,9 +152,23 @@ INVALID = [
     (SimConfig, dict(state=None, settings=((0.0, inf),), events_per_setting=10, seed=1),
      SimConfigError, "settings angles must be finite"),
     (SimConfig, dict(state=None, settings=((0.0,),), events_per_setting=10, seed=1),
-     ValueError, "not enough values to unpack (expected 2, got 1)"),
+     SimConfigError, "settings must be (phi1, phi2) pairs of numbers"),
     (SimConfig, dict(state=None, settings=(("x", 0.0),), events_per_setting=0, seed=1),
      SimConfigError, "events_per_setting must be >= 1"),
+    (SimConfig, dict(state=None, settings=(("a", 1.0),), events_per_setting=10, seed=1),
+     SimConfigError, "settings must be (phi1, phi2) pairs of numbers"),
+    (SimConfig, dict(state=None, settings=((0.0, 1.0, 2.0),), events_per_setting=10, seed=1),
+     SimConfigError, "settings must be (phi1, phi2) pairs of numbers"),
+    (SimConfig, dict(state=None, settings=(None,), events_per_setting=10, seed=1),
+     SimConfigError, "settings must be (phi1, phi2) pairs of numbers"),
+    (SimConfig, dict(state=None, settings=((1.0, None),), events_per_setting=10, seed=1),
+     SimConfigError, "settings must be (phi1, phi2) pairs of numbers"),
+    (SimConfig, dict(state=None, settings=None, events_per_setting=10, seed=1),
+     SimConfigError, "settings must be (phi1, phi2) pairs of numbers"),
+    (SimConfig, dict(state=None, settings=((0.0, 10**400),), events_per_setting=10, seed=1),
+     SimConfigError, "settings angles must be finite"),
+    (SimConfig, dict(state=None, settings=(None,), events_per_setting=10, seed=2**64),
+     SimConfigError, "seed must be a 64-bit unsigned integer"),
 ]
 
 

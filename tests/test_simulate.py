@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import math
 import threading
 import tracemalloc
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellpair.simulate as sim
 from bellpair.protocol import AngleSettings, estimate_correlation
 from bellpair.simulate import (
     CHUNK,
@@ -22,7 +22,6 @@ from bellpair.simulate import (
 from bellpair.states import PauliDecomposition, compose, decompose, singlet, unpolarized, werner
 from oracles import correlation, searchsorted_counts
 
-sim = importlib.import_module("bellpair.simulate")  # the package attribute is the function
 
 # SHA-256 of "phi1!r,phi2!r,n_pp,n_pm,n_mp,n_mm\n" per simulated pair; the
 # same cases and digests pin the benchmark's output checks
