@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .linalg import Spectrum, eig_symmetric3, eigvals_hermitian, ordered_sum
+from .linalg import Spectrum, eig_symmetric3, jacobi_eigenvalues, ordered_sum
 from .states import DensityMatrix, decompose, purity
 
 UNIT_TOL = 1e-10
@@ -72,6 +72,16 @@ class BellReport(namedtuple("BellReport", "tangle M max_violation purity optimal
         return self.max_violation > BELL_LIMIT
 
 
+def _flip_gram(spec: Spectrum) -> list[list]:
+    """tau^dag tau as lists, exactly Hermitian: its diagonal's imaginary parts are 0.0."""
+    roots = [math.sqrt(max(0.0, x)) for x in spec.eigenvalues]
+    p0, p1, p2, p3 = [[x * r for x, r in zip(row, roots)] for row in spec.eigenvectors]  # rows of Psi
+    # sigma_y (x) sigma_y is the anti-diagonal (-1, 1, 1, -1), so tau is this exactly symmetric sum
+    tau = [[(p1[k] * p2[j] + p2[k] * p1[j]) - (p0[k] * p3[j] + p3[k] * p0[j]) for j in range(4)] for k in range(4)]
+    conj = [[x.conjugate() for x in row] for row in tau]  # tau^dag, as tau is symmetric
+    return [[c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3 for t0, t1, t2, t3 in tau] for c0, c1, c2, c3 in conj]
+
+
 def tangle(rho: DensityMatrix) -> float:
     """Spin-flip entanglement measure in [0, 1]; 0 for separable states.
 
@@ -82,14 +92,10 @@ def tangle(rho: DensityMatrix) -> float:
     rounding noise in a null eigenvalue w of rho moves the l_k by about w,
     not sqrt(w), and rank-deficient states keep rounding accuracy.
     """
-    spec = rho.spectrum
-    roots = [math.sqrt(max(0.0, x)) for x in spec.eigenvalues]
-    p0, p1, p2, p3 = [[x * r for x, r in zip(row, roots)] for row in spec.eigenvectors]  # rows of Psi
-    # sigma_y (x) sigma_y is the anti-diagonal (-1, 1, 1, -1), so tau is this exactly symmetric sum
-    tau = [[(p1[k] * p2[j] + p2[k] * p1[j]) - (p0[k] * p3[j] + p3[k] * p0[j]) for j in range(4)] for k in range(4)]
-    conj = [[x.conjugate() for x in row] for row in tau]  # tau^dag, as tau is symmetric
-    gram = [[c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3 for t0, t1, t2, t3 in tau] for c0, c1, c2, c3 in conj]
-    lam = [math.sqrt(max(x, 0.0)) for x in eigvals_hermitian(gram)]
+    gram = _flip_gram(rho.spectrum)  # entries at most 16: hermitian_lists' checks cannot fail
+    for k, row in enumerate(gram):
+        row[k] = row[k].real
+    lam = [math.sqrt(max(x, 0.0)) for x in sorted(jacobi_eigenvalues(gram), reverse=True)]
     return max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
 
 

@@ -86,13 +86,7 @@ def load_state(path: str | os.PathLike) -> states.DensityMatrix:
         )
         return states.compose(pd)
     if kind == "werner":
-        try:
-            gamma = float(doc["gamma"])
-        except KeyError:
-            raise FileFormatError("state file of kind 'werner' is missing field 'gamma'") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FileFormatError(f"field 'gamma': {exc}") from None
-        return states.werner(gamma)
+        return states.werner(_field_array(doc, kind, "gamma", ()))
     if kind == "named":
         name = doc.get("name")
         if not isinstance(name, str) or name not in states.NAMED_STATES:

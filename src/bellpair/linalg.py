@@ -137,10 +137,10 @@ def _rotate(a: list[list], v: list[list], p: int, q: int, others: list[int]) -> 
         row[q] = -s_conj * x + c * y
 
 
-def _jacobi(a: list[list], v: list[list] | tuple = ()) -> list[float]:
-    """Sweep until the squared magnitudes of the stored lower-triangle pivots, half the
-    squared off-diagonal norm, add up to at most OFFDIAG_TOL**2 / 2; the diagonal.
-    Rotates ``v`` along."""
+def jacobi_eigenvalues(a: list[list], v: list[list] | tuple = ()) -> list[float]:
+    """Unsorted eigenvalues of ``a``, exactly Hermitian with a real diagonal as from :func:`hermitian_lists`,
+    rotated in place (``v`` along) until the squared magnitudes of the stored lower-triangle pivots,
+    half the squared off-diagonal norm, add up to at most OFFDIAG_TOL**2 / 2."""
     n = len(a)
     pivots = _PIVOTS[n]
     for sweep in range(MAX_SWEEPS + 1):
@@ -169,7 +169,7 @@ def jacobi_spectrum(a: list[list]) -> Spectrum:
     """Spectrum of working lists from :func:`hermitian_lists`, rotated in place."""
     n = len(a)
     v = [[0.0] * k + [1.0] + [0.0] * (n - 1 - k) for k in range(n)]
-    w = _jacobi(a, v)
+    w = jacobi_eigenvalues(a, v)
     cols = [_fix_phase(col) for col in zip(*v)]
     order = sorted(range(n), key=w.__getitem__, reverse=True)
     # break ties inside near-degenerate runs lexicographically
@@ -202,11 +202,6 @@ def eig_hermitian(m) -> Spectrum:
     the sweep cap is exceeded.
     """
     return jacobi_spectrum(hermitian_lists(m, 4, complex))
-
-
-def eigvals_hermitian(m) -> list[float]:
-    """Descending eigenvalues alone; input and checks as in :func:`eig_hermitian`."""
-    return sorted(_jacobi(hermitian_lists(m, 4, complex)), reverse=True)
 
 
 def eig_symmetric3(m) -> Spectrum:

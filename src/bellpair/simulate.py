@@ -52,8 +52,8 @@ class SimConfigError(ValueError):
 
 
 class SimConfig(namedtuple("SimConfig", "state settings events_per_setting seed")):
-    """One simulation run: a :class:`DensityMatrix`, angle pairs as a tuple of
-    ``(float, float)``, events per pair and seed as ``int``."""
+    """One simulation run: a :class:`DensityMatrix`, angle pairs read by ``float`` as state-file numbers
+    are (numeric strings and bools pass) into ``(float, float)`` tuples, events per pair and seed as ``int``."""
 
     __slots__ = ()
 

@@ -139,7 +139,7 @@ def jacobi_numpy(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     """Unsorted eigenvalues and eigenvectors by cyclic Jacobi on numpy slices.
 
     Same pivot order, rotation formula and pivot clean-up as
-    ``bellpair.linalg._jacobi``; each rotation updates whole rows and
+    ``bellpair.linalg.jacobi_eigenvalues``; each rotation updates whole rows and
     columns as numpy arrays.
     """
     n = m.shape[0]
@@ -192,9 +192,9 @@ def jacobi_two_sided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Every rotation updates all of columns p and q, then all of rows p and
     q, of the whole input, both triangles as given.  Same pivot order,
-    rotation formula and pivot clean-up as ``bellpair.linalg._jacobi``; it
-    stops on the full off-diagonal norm, which ``_jacobi`` tests as half its
-    square on the stored lower triangle.
+    rotation formula and pivot clean-up as ``bellpair.linalg.jacobi_eigenvalues``;
+    it stops on the full off-diagonal norm, which ``jacobi_eigenvalues`` tests as
+    half its square on the stored lower triangle.
     """
     a = np.asarray(m, dtype=complex).tolist()
     n = len(a)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -35,11 +36,34 @@ def test_a_submodule_imported_as_a_name_is_the_module():
     assert callable(sim.simulate) and sim.simulate.__module__ == "bellpair.simulate"
 
 
-def test_every_name_the_benchmark_traces_is_a_callable_of_its_module():
+def _traced():
+    """``bench/tracing.py``'s TRACED, loaded by path."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for short, names in tracing.TRACED.items():
+    return tracing.TRACED
+
+
+def test_every_name_the_benchmark_traces_is_a_callable_of_its_module():
+    for short, names in _traced().items():
         module = importlib.import_module(f"bellpair.{short}")
         for name in names:
             assert callable(getattr(module, name, None)), f"bellpair.{short}.{name}"
+
+
+def test_every_public_function_is_called_from_src_or_traced_by_the_benchmark():
+    # a reference is a name, an attribute or an imported name in code, outside the function's own body
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "bellpair").glob("*.py")}
+    references = [(module, node.lineno, name) for module, tree in trees.items() for node in ast.walk(tree)
+                  for name in ((node.id,) if isinstance(node, ast.Name) else (node.attr,) if isinstance(node, ast.Attribute)
+                               else (node.name,) if isinstance(node, ast.alias) else ())]
+    traced = _traced()
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name in traced.get(module, ()):
+                continue
+            if not any(name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
+                       for where, line, name in references):
+                dead.append(f"bellpair.{module}.{node.name}")
+    assert dead == []

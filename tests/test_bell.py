@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellpair.bell import AnalyzerDirections, NonUnitDirection, horodecki_max, tangle
+from bellpair.bell import AnalyzerDirections, NonUnitDirection, _flip_gram, horodecki_max, tangle
+from bellpair.linalg import hermitian_lists, jacobi_eigenvalues
 from bellpair.protocol import angle_to_direction
-from bellpair.states import DensityMatrix, decompose, singlet, unpolarized, validate, werner
+from bellpair.states import NAMED_STATES, DensityMatrix, decompose, singlet, unpolarized, validate, werner
 from conftest import haar_unitary2, random_density_matrix, random_mixture, random_unit3
 from oracles import bell_mean, bell_mean_batch, product_state, refine_directions, tangle_charpoly, tangle_factor_mp
 
@@ -214,3 +217,33 @@ def test_tangle_follows_the_werner_line_to_rounding():
     for k in range(1001):
         g = k / 1000
         assert abs(tangle(werner(g)) - max((3 * g - 1) / 2, 0.0)) <= 1e-14
+
+
+def tangle_through_the_reader(rho: DensityMatrix) -> float:
+    """The tangle with its Gram matrix sent through ``hermitian_lists`` first."""
+    w = sorted(jacobi_eigenvalues(hermitian_lists(_flip_gram(rho.spectrum), 4, complex)), reverse=True)
+    lam = [math.sqrt(max(x, 0.0)) for x in w]
+    return max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
+
+
+def _bits(z) -> tuple[str, str]:
+    """The bits of z's parts, with -0.0 read as 0.0: a zero part's sign never reaches a nonzero result."""
+    return float(z.real + 0.0).hex(), float(z.imag + 0.0).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_the_tangle_gram_is_exactly_hermitian_and_needs_no_reader(seed, rank):
+    rng = np.random.default_rng(seed)
+    a, p = rng.normal(size=3), rng.normal(size=3)
+    states = [random_factor_state(rng, rank)[0], werner(rng.uniform()),
+              product_state(a / (np.linalg.norm(a) * rng.uniform(1, 2)), p / (np.linalg.norm(p) * rng.uniform(1, 2))),
+              product_state((0, 0, rng.choice([-1, 1])), (0, 0, rng.uniform(-1, 1)))]  # diagonal: float eigenvectors
+    for rho in states + [make() for make in NAMED_STATES.values()]:
+        gram = _flip_gram(rho.spectrum)
+        for i in range(4):
+            assert gram[i][i].imag == 0.0
+            for j in range(i + 1, 4):
+                assert _bits(gram[i][j]) == _bits(gram[j][i].conjugate())
+        assert all(abs(x) <= 16 for row in gram for x in row)
+        assert tangle(rho).hex() == tangle_through_the_reader(rho).hex()

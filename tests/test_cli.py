@@ -5,6 +5,7 @@ import json
 import math
 import os
 import runpy
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +148,29 @@ def test_analyze_entries_too_large_for_the_rotations_exit_3(tmp_path, capsys, do
     code, out, err = run(capsys, "analyze", "--state", state_file(tmp_path, doc))
     assert code == 3 and out == ""
     assert err == "error: invalid state: matrix entries must be finite, with magnitudes summing to at most 1e150\n"
+
+
+@pytest.mark.parametrize("gamma, expected", [
+    ("abc", (2, "error: field 'gamma': could not convert string to float: 'abc'\n")),
+    (10**400, (2, "error: field 'gamma': int too large to convert to float\n")),
+    ([0.5], (2, "error: field 'gamma': expected a number\n")),
+    ({"g": 0.5}, (2, "error: field 'gamma': expected a number\n")),
+    (None, (3, "error: invalid state: gamma must be in [0, 1], got nan\n")),  # null reads as NaN
+    ("nan", (3, "error: invalid state: gamma must be in [0, 1], got nan\n")),
+    (1.5, (3, "error: invalid state: gamma must be in [0, 1], got 1.5\n")),
+])
+def test_werner_gamma_follows_the_state_file_number_rule(tmp_path, capsys, gamma, expected):
+    code, out, err = run(capsys, "analyze", "--state", state_file(tmp_path, {"kind": "werner", "gamma": gamma}))
+    assert (code, out, err) == (expected[0], "", expected[1])
+
+
+def test_werner_gamma_reads_numeric_strings_and_booleans_and_needs_the_field(tmp_path, capsys):
+    def analyze(doc):
+        return run(capsys, "analyze", "--state", state_file(tmp_path, doc, name="w.json"), "--format", "json")
+
+    assert analyze({"kind": "werner", "gamma": " 0.5 "}) == analyze({"kind": "werner", "gamma": 0.5})
+    assert analyze({"kind": "werner", "gamma": True}) == analyze({"kind": "werner", "gamma": 1.0})
+    assert analyze({"kind": "werner"}) == (2, "", "error: state file of kind 'werner' is missing field 'gamma'\n")
 
 
 _DIAGONAL = "[[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]"
@@ -326,6 +350,30 @@ def test_fit_synthetic_exact(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["gamma_hat"] == pytest.approx(0.5, abs=1e-9)
     assert doc["chi2_at_min"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("source", ["embedded", "exact"])
+def test_chi2_curve_passes_through_the_reference_values(tmp_path, capsys, source, fmt):
+    # 100 * 0.01 == 1.0 and 90 * 0.01 == 0.9, so the curve evaluates the same models as the summary
+    if source == "embedded":
+        argv = ["--embedded"]
+    else:
+        s = 3 * math.cos(math.radians(45)) - math.cos(math.radians(135))
+        data = tmp_path / "data.txt"
+        data.write_text(f"90, 0, 45, 135, {0.8 * s}, 0.1\n")
+        argv = ["--data", str(data)]
+    code, out, _ = run(capsys, "fit", *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        summary = json.loads(out)
+        curve = {pt["gamma"]: pt["chi2"] for pt in summary["chi2_curve"]}
+    else:
+        lines = out.splitlines()
+        summary = {k: float(v) for k, _, v in (line[2:].partition(": ") for line in lines if line.startswith("# chi2_"))}
+        block = lines[lines.index("# block: chi2_curve") + 2:]
+        curve = {float(g): float(c) for g, c in (line.split(",") for line in block)}
+    assert curve[1.0] == summary["chi2_case1"] and curve[0.9] == summary["chi2_case2"]
 
 
 def test_fit_single_row_clamps(tmp_path, capsys):
@@ -766,6 +814,25 @@ def test_out_is_utf8_under_an_ascii_locale(tmp_path):
     assert printed.returncode == 0
     assert f"# state: {state}\n".encode() in printed.stdout
     assert out_file.read_bytes() == printed.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_out_to_dev_null_writes_in_place(tmp_path, capsys):
+    state = state_file(tmp_path, {"kind": "named", "name": "singlet"})
+    assert run(capsys, "analyze", "--state", state, "--out", "/dev/null") == (0, "", "")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+def test_out_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    state = state_file(tmp_path, {"kind": "named", "name": "singlet"})
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old contents, longer than nothing\n")
+    link.symlink_to(target)
+    code, stdout, _ = run(capsys, "analyze", "--state", state, "--format", "json")
+    assert code == 0
+    assert run(capsys, "analyze", "--state", state, "--format", "json", "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == stdout
 
 
 def test_version_flag(capsys):

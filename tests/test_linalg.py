@@ -10,7 +10,8 @@ from bellpair.linalg import (
     NotPositive,
     eig_hermitian,
     eig_symmetric3,
-    eigvals_hermitian,
+    hermitian_lists,
+    jacobi_eigenvalues,
     sqrt_psd,
 )
 from bellpair.states import validate, werner
@@ -253,15 +254,15 @@ def test_hermitian4_eigenvalues_bitwise_equal_two_sided_rotations(seed, rank):
     for m in (random_hermitian4(rng), rho, werner(rng.uniform()).mat):
         w = sorted(jacobi_two_sided(m)[0].tolist())
         assert w == sorted(eig_hermitian(m).eigenvalues)
-        assert w == sorted(eigvals_hermitian(m))
+        assert w == sorted(jacobi_eigenvalues(hermitian_lists(m, 4, complex)))
     assert sorted(jacobi_two_sided(rho)[0].tolist()) == sorted(validate(rho).spectrum.eigenvalues)
 
 
 def raw_jacobi(m, n, dtype):
-    """Unsorted eigenvalues and eigenvectors straight from ``linalg._jacobi``."""
-    a = linalg.hermitian_lists(m, n, dtype)
+    """Unsorted eigenvalues and eigenvectors straight from ``linalg.jacobi_eigenvalues``."""
+    a = hermitian_lists(m, n, dtype)
     v = np.eye(n).tolist()
-    w = linalg._jacobi(a, v)
+    w = jacobi_eigenvalues(a, v)
     return np.array(w), np.array(v, dtype=dtype)
 
 
@@ -326,14 +327,15 @@ def test_near_hermitian_input_has_the_spectrum_of_its_mirrored_lower_triangle(se
 def test_eigenvalues_only_equal_the_sorted_spectrum(seed, rank):
     rng = np.random.default_rng(seed)
     for m in (random_hermitian4(rng), random_state4(rng, rank), werner(rng.uniform()).mat, np.eye(4)):
-        assert eigvals_hermitian(m) == sorted(eig_hermitian(m).eigenvalues, reverse=True)
+        w = sorted(jacobi_eigenvalues(hermitian_lists(m, 4, complex)), reverse=True)
+        assert w == sorted(eig_hermitian(m).eigenvalues, reverse=True)
 
 
 def test_eigenvalues_only_checks_its_input():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-6
     with pytest.raises(NotHermitian):
-        eigvals_hermitian(m)
+        jacobi_eigenvalues(hermitian_lists(m, 4, complex))
     m[0, 1] = np.inf
     with pytest.raises(NotHermitian, match="finite"):
-        eigvals_hermitian(m)
+        jacobi_eigenvalues(hermitian_lists(m, 4, complex))

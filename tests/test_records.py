@@ -103,6 +103,12 @@ def test_checked_records_store_their_coerced_fields():
     assert type(cfg.events_per_setting) is int and cfg.seed == 1
 
 
+def test_sim_config_reads_angles_by_the_state_file_number_rule():
+    # float(), as for every state-file number: numeric strings and booleans are numbers
+    assert SimConfig(None, [("1.5", " 2 ")], 1, 0).settings == ((1.5, 2.0),)
+    assert SimConfig(None, [(True, 1)], 1, 0).settings == ((1.0, 1.0),)
+
+
 # Each invalid input with the exception and message of the check that rejects it.
 INVALID = [
     (PauliDecomposition, dict(A=(0.1, 0.2), P=(0, 0, 0), D=Z3),
