@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .linalg import Spectrum, eig_symmetric3, jacobi_eigenvalues, ordered_sum
+from .linalg import Spectrum, jacobi_eigenvalues, jacobi_spectrum
 from .states import DensityMatrix, decompose, purity
 
 UNIT_TOL = 1e-10
@@ -35,7 +35,7 @@ def _unit3(v, name: str) -> tuple[float, ...]:
     v = tuple(map(float, v))
     if len(v) != 3:
         raise NonUnitDirection(f"direction {name} must have three components")
-    norm = math.sqrt(ordered_sum(x * x for x in v))
+    norm = math.sqrt(_dot(v, v))
     if not abs(norm - 1.0) <= UNIT_TOL:  # also rejects nan
         raise NonUnitDirection(f"direction {name} has norm {norm:.12g}")
     return v
@@ -106,8 +106,7 @@ def _optimal_from_correlation(d: tuple, spec: Spectrum) -> AnalyzerDirections | 
     unpolarized state).  For a degenerate spectrum the eigensolver's
     deterministic eigenvector order picks one of the optimal settings.
     """
-    c1 = [row[0] for row in spec.eigenvectors]
-    c2 = [row[1] for row in spec.eigenvectors]
+    c1, c2, _ = zip(*spec.eigenvectors)  # the two leading eigenvectors, as columns
     dc1 = [_dot(row, c1) for row in d]
     dc2 = [_dot(row, c2) for row in d]
     n1 = math.sqrt(_dot(dc1, dc1))
@@ -127,7 +126,10 @@ def _optimal_from_correlation(d: tuple, spec: Spectrum) -> AnalyzerDirections | 
 def horodecki_max(rho: DensityMatrix) -> BellReport:
     """Full report: tangle, M, maximal violation 2 sqrt(M), purity, settings."""
     d = decompose(rho).D
-    gram = eig_symmetric3([[_dot(ci, cj) for cj in zip(*d)] for ci in zip(*d)])  # D^T D
+    cols = list(zip(*d))
+    # D^T D is exactly symmetric (_dot(ci, cj) and _dot(cj, ci) make the same products in the same
+    # order), with entries at most 3 for a validated state: hermitian_lists' checks cannot fail
+    gram = jacobi_spectrum([[_dot(ci, cj) for cj in cols] for ci in cols])
     m_val = max(0.0, gram.eigenvalues[0]) + max(0.0, gram.eigenvalues[1])
     return BellReport(
         tangle=tangle(rho),

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
@@ -50,6 +51,10 @@ class CommandError(ValueError):
 # --- one writer for every output format ----------------------------------------
 
 
+# strict JSON, as json.dumps(..., indent=2, allow_nan=False) writes it
+_JSON = json.JSONEncoder(indent=2, allow_nan=False)
+
+
 class _Column(namedtuple("_Column", "name spec label", defaults=(".4g", None))):
     """``name`` is the CSV header and JSON key, ``spec`` the table format of a
     float cell, ``label`` the table header when it differs from ``name``."""
@@ -77,7 +82,7 @@ def _write(
     ``footer``.
     """
     if fmt == "json":
-        return json.dumps({"manifest": manifest, **body}, indent=2, allow_nan=False) + "\n"
+        return _JSON.encode({"manifest": manifest, **body}) + "\n"
     if fmt == "csv":
         text = _render_csv(columns, rows, [*_manifest_comments(manifest), *comments])
         for comment, block_columns, block_rows in blocks:
@@ -404,9 +409,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_EMPTY
     if args.out is not None:
         try:
-            data = text.encode("utf-8", "surrogateescape")  # UTF-8 whatever the locale; argv bytes round-trip
-            with open(args.out, "wb") as fh:
-                fh.write(data)
+            data = memoryview(text.encode("utf-8", "surrogateescape"))  # UTF-8 whatever the locale; argv bytes round-trip
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)  # as open(..., "wb") opens
+            try:
+                while data:  # a write may take only part of the data
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             print(f"error: cannot write {args.out}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return EXIT_PARSE

@@ -19,8 +19,8 @@ comment lines:
 * settings files: either ``phi1, phi2`` pairs or full four-angle rows
   ``phi1, phi1p, phi2, phi2p`` which expand to their four pairs.
 
-Every file is read as UTF-8, and every number in these formats must be
-finite.  The text formats share one row loop: a row with the wrong number
+Every file is read as UTF-8, with CRLF and lone CR line breaks read as LF,
+and every number in these formats must be finite.  The text formats share one row loop: a row with the wrong number
 of fields, a number that does not parse, or a value that its model
 (``AngleSettings``, ``ChshDatum``, ``CountTable``) rejects is reported with
 its line number.
@@ -52,7 +52,13 @@ def _numbers(value, shape: tuple[int, ...]):
         return math.nan if value is None else float(value)
     if not isinstance(value, list) or len(value) != shape[0]:
         raise ValueError(f"must have shape {shape}")
-    return tuple(_numbers(x, shape[1:]) for x in value)
+    tail = shape[1:]
+    if not tail:
+        try:  # a row of numbers, booleans or numeric strings reads as the loop below reads it
+            return tuple(map(float, value))
+        except TypeError:  # a null, list or object in the row: read leaf by leaf
+            pass
+    return tuple([_numbers(x, tail) for x in value])
 
 
 def _field_array(doc: dict, kind: str, key: str, shape: tuple[int, ...]) -> tuple:
@@ -98,13 +104,16 @@ def load_state(path: str | os.PathLike) -> states.DensityMatrix:
 
 
 def _read_text(path: str | os.PathLike, what: str) -> str:
-    """The file's text; errors name ``path`` as given.  ``os.fspath`` rejects an
-    int, which ``open`` would take for a file descriptor."""
+    """The file's text, as text mode reads it: decoded as UTF-8, with each CRLF and
+    then each lone CR made LF, so JSON error offsets count one character per line
+    break.  Errors name ``path`` as given.  ``os.fspath`` rejects an int, which
+    ``open`` would take for a file descriptor."""
     try:
-        with open(os.fspath(path), encoding="utf-8") as fh:
-            return fh.read()
+        with open(os.fspath(path), "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, ValueError) as exc:  # also bad UTF-8 and a NUL byte in the path
         raise FileFormatError(f"cannot read {what} file {path}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _rows(text: str, build: Callable[[list[str]], object]) -> list:

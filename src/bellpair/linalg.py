@@ -182,8 +182,7 @@ def jacobi_spectrum(a: list[list]) -> Spectrum:
         final += order[i:j] if j == i + 1 else sorted(
             order[i:j], key=lambda k: [z for x in cols[k] for z in (x.real, x.imag)])
         i = j
-    return Spectrum(eigenvalues=tuple(w[k] for k in final),
-                    eigenvectors=tuple(tuple(cols[k][i] for k in final) for i in range(n)))
+    return Spectrum(tuple([w[k] for k in final]), tuple(zip(*[cols[k] for k in final])))
 
 
 def check_psd(w) -> None:

@@ -16,7 +16,9 @@ this stream contract:
   (++, +-, -+, --) are rounded to integer edges on [0, 2^53], the draws
   below each edge are counted, and an outcome's count is the difference
   of consecutive totals (a zero-probability outcome has a zero-width bin
-  and is never drawn);
+  and is never drawn).  A draw is below an edge e exactly when its raw
+  word is below e * 2^11, so the raw words are compared unshifted, and an
+  edge of 2^53 counts every draw;
 * draws are made in fixed chunks of ``CHUNK`` words, which bounds memory
   at any event count and gives the same words as a single draw.
 
@@ -104,17 +106,18 @@ def _usable_cores() -> int:
 def _draw_counts(probs, n: int, key: int) -> list[int]:
     import numpy as np
 
-    # the cumulative sums, added left to right, rounded to nearest with ties to even
-    edges = [np.uint64(round(c * _SCALE)) for c in itertools.accumulate(probs[:3])]
-    shift = np.uint64(64 - _BITS)
+    # the cumulative sums, added left to right, rounded to nearest with ties to even, as bounds
+    # on the raw words; None for an edge of 2^53 (or above), whose bound does not fit 64 bits
+    edges = [round(c * _SCALE) for c in itertools.accumulate(probs[:3])]
+    bounds = [None if edge >> _BITS else np.uint64(edge << (64 - _BITS)) for edge in edges]
     bitgen = np.random.Philox(key=key)
     below = [0, 0, 0]
     for start in range(0, n, CHUNK):
-        draws = bitgen.random_raw(min(CHUNK, n - start))
-        np.right_shift(draws, shift, out=draws)
-        for k, edge in enumerate(edges):
-            below[k] += int(np.count_nonzero(draws < edge))
-        del draws  # so a thread never holds two chunks
+        size = min(CHUNK, n - start)
+        words = bitgen.random_raw(size)
+        for k, bound in enumerate(bounds):
+            below[k] += size if bound is None else int(np.count_nonzero(words < bound))
+        del words  # so a thread never holds two chunks
     return [below[0], below[1] - below[0], below[2] - below[1], n - below[2]]
 
 

@@ -25,7 +25,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .linalg import check_psd, hermitian_lists, jacobi_spectrum, ordered_sum
+from .linalg import check_psd, hermitian_lists, jacobi_spectrum
 
 # The signed-permutation Paulis 1, sigma_x, sigma_y, sigma_z as (rows, phases):
 # column c has its one nonzero, phases[c], in row rows[c].
@@ -92,7 +92,9 @@ class PauliDecomposition(namedtuple("PauliDecomposition", "A P D")):
 def validate(mat) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; keep the matrix it diagonalized."""
     a = hermitian_lists(mat, 4, complex)
-    tr = ordered_sum(row[i] for i, row in enumerate(a))  # the real diagonal of the kept matrix
+    tr = 0.0  # the real diagonal of the kept matrix, added left to right
+    for i in range(4):
+        tr += a[i][i]
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr:.12g}, expected 1")
     kept = tuple(map(tuple, a))  # before the rotations overwrite ``a``
@@ -124,11 +126,19 @@ def compose(pd: PauliDecomposition) -> DensityMatrix:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); 0.25 for the maximally mixed state, 1 for pure states.
+    """Tr(rho^2); 0.25 for the maximally mixed state, 1 for pure states, and 0.625 for the
+    Werner state at the CHSH threshold gamma = 1/sqrt(2) ~ 0.707, the singlet weight that
+    the paper calls a purity of ~70%.
 
     The diagonal of rho^2 is sum_k |rho_ik|^2, because ``mat`` is exactly Hermitian.
     """
-    return ordered_sum(ordered_sum(x.real * x.real + x.imag * x.imag for x in row) for row in rho.mat)
+    total = 0.0  # row sums, added left to right, then added up in row order
+    for row in rho.mat:
+        row_total = 0.0
+        for x in row:
+            row_total += x.real * x.real + x.imag * x.imag
+        total += row_total
+    return total
 
 
 # --- canonical states ------------------------------------------------------

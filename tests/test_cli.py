@@ -503,6 +503,26 @@ def test_csv_reads_back_every_float_exactly(tmp_path, capsys):
     assert [float(x) for x in comment.split(": ")[1].split(",")] == [crossing["below"], crossing["above"]]
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--state", "matrix.json"], ["sweep", "--step", "0.1"], ["fit", "--embedded"]])
+def test_json_output_is_json_dumps_of_the_document(tmp_path, monkeypatch, capsys, argv):
+    # the one shared encoder writes what a fresh json.dumps(..., indent=2, allow_nan=False) writes
+    monkeypatch.chdir(tmp_path)
+    state_file(tmp_path, GOLDEN_STATES["matrix.json"], "matrix.json")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    body = json.loads(out)
+    manifest = body.pop("manifest")
+    expected = json.dumps({"manifest": manifest, **body}, indent=2, allow_nan=False) + "\n"
+    assert cli._write("json", manifest, body, [], []) == expected == out
+
+
+def test_json_output_rejects_nan_and_the_encoder_keeps_working():
+    manifest = cli._manifest("analyze", {"state": "s.json"}, "json")
+    with pytest.raises(ValueError):
+        cli._write("json", manifest, {"tangle": math.nan}, [], [])
+    assert json.loads(cli._write("json", manifest, {"tangle": 0.5}, [], [])) == {"manifest": manifest, "tangle": 0.5}
+
+
 # SHA-256 of stdout for fixed inputs.  A digest that moves is a visible
 # output change, to be announced.  The data has an angle that needs all its
 # digits, so the CSV digests also pin lossless angle fields.  The matrix and
@@ -833,6 +853,17 @@ def test_out_through_a_symlink_rewrites_its_target(tmp_path, capsys):
     assert run(capsys, "analyze", "--state", state, "--format", "json", "--out", str(link)) == (0, "", "")
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_text() == stdout
+
+
+def test_out_finishes_partial_writes_and_truncates(tmp_path, monkeypatch, capsys):
+    out_file = tmp_path / "sweep.json"
+    out_file.write_text("x" * 100_000)  # longer than the output
+    code, stdout, _ = run(capsys, "sweep", "--format", "json")
+    assert code == 0
+    os_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: os_write(fd, data[:4093]))  # short writes
+    assert run(capsys, "sweep", "--format", "json", "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == stdout
 
 
 def test_version_flag(capsys):

@@ -9,6 +9,7 @@ from bellpair.fileio import (
     COUNTS_MARKER,
     FileFormatError,
     _field_array,
+    _numbers,
     counts_text,
     is_counts_text,
     load_data,
@@ -62,6 +63,43 @@ def test_load_state_bad_json(tmp_path):
     path = write(tmp_path, "bad.json", "not json at all")
     with pytest.raises(FileFormatError):
         load_state(path)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r", b"\r\r\n"])
+def test_state_file_errors_count_line_breaks_as_text_mode_does(tmp_path, newline):
+    # each \r\n, then each lone \r, is one line break; a plain binary read reports CRLF's error at char 31
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{\n"kind": "werner",\n "gamma" 0.8\n}\n'.replace(b"\n", newline))
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as text_mode:
+        json.loads(fh.read())
+    with pytest.raises(FileFormatError) as exc:
+        load_state(path)
+    assert str(exc.value) == f"cannot read state file {path}: {text_mode.value}"
+    if newline == b"\r\n":
+        assert str(exc.value).endswith("line 3 column 10 (char 29)")
+
+
+def test_a_lone_carriage_return_breaks_lines_in_every_format(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{\r"kind": "werner",\r"gamma": 0.9\r}\r')
+    assert load_state(path).mat == werner(0.9).mat
+    text = "# pairs\n10, 20\n90, 0, 45, 135\n"
+    assert load_settings(write(tmp_path, "cr.txt", text.replace("\n", "\r"))) == load_settings(
+        write(tmp_path, "lf.txt", text))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_data_files_read_as_their_lf_versions(tmp_path, newline):
+    good = "# header\n50, 0, 25, 75, 0.67, 2.30\n\n60 0 30 90 1.21 2.42\n"
+    assert load_data(write(tmp_path, "a.txt", good.replace("\n", newline))) == load_data(
+        write(tmp_path, "b.txt", good))
+    counts = f"{COUNTS_MARKER}\n" + "".join(f"{a}, {b}, 1, 2, 3, 4\n" for a, b in AngleSettings(0, 90, 45, 135).pairs())
+    assert load_data(write(tmp_path, "c.txt", counts.replace("\n", newline))) == load_data(
+        write(tmp_path, "d.txt", counts))
+    bad = "# header\n50, 0, 25, 75, 0.67, 2.30\n60 0 30 90 1.21\n"
+    for text in (bad, bad.replace("\n", newline)):
+        with pytest.raises(FileFormatError, match="^line 3: expected 6 fields, got 5$"):
+            load_data(write(tmp_path, "e.txt", text))
 
 
 def test_load_state_unknown_kind(tmp_path):
@@ -314,3 +352,17 @@ def test_fields_parse_as_numpy_parsed_them(data, shape):
         assert want is None
     else:
         assert want is not None and np.array_equal(got, want, equal_nan=True)
+
+
+def _outcome(read):
+    try:
+        return repr(read())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(LEAVES, min_size=3, max_size=3))
+def test_a_row_of_numbers_reads_as_its_leaves_read_one_by_one(row):
+    # the same values, or the same first error, with or without a null, list or object in the row
+    assert _outcome(lambda: _numbers(row, (3,))) == _outcome(lambda: tuple(_numbers(x, ()) for x in row))
