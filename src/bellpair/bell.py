@@ -5,7 +5,8 @@ Three quantities characterize a state here:
 * the tangle, max{l1 - l2 - l3 - l4, 0} with l_k the descending singular
   values of tau = Psi^T (sigma_y (x) sigma_y) Psi for any factor
   rho = Psi Psi^dag (Wootters, PRL 80, 2245, 1998) -- the spin-flip
-  overlap spectrum;
+  overlap spectrum; Psi is the factor that :func:`states.validate` stored
+  on the state, as a rule its pivoted Cholesky factor;
 * the maximal CHSH mean value 2 sqrt(M), with M the sum of the two largest
   eigenvalues of D D^T (Horodecki criterion);
 * the purity Tr(rho^2).
@@ -72,10 +73,9 @@ class BellReport(namedtuple("BellReport", "tangle M max_violation purity optimal
         return self.max_violation > BELL_LIMIT
 
 
-def _flip_gram(spec: Spectrum) -> list[list]:
-    """tau^dag tau as lists, exactly Hermitian: its diagonal's imaginary parts are 0.0."""
-    roots = [math.sqrt(max(0.0, x)) for x in spec.eigenvalues]
-    p0, p1, p2, p3 = [[x * r for x, r in zip(row, roots)] for row in spec.eigenvectors]  # rows of Psi
+def _flip_gram(psi: tuple) -> list[list]:
+    """tau^dag tau for the factor rows ``psi``, as lists, exactly Hermitian: its diagonal's imaginary parts are 0.0."""
+    p0, p1, p2, p3 = psi
     # sigma_y (x) sigma_y is the anti-diagonal (-1, 1, 1, -1), so tau is this exactly symmetric sum
     tau = [[(p1[k] * p2[j] + p2[k] * p1[j]) - (p0[k] * p3[j] + p3[k] * p0[j]) for j in range(4)] for k in range(4)]
     conj = [[x.conjugate() for x in row] for row in tau]  # tau^dag, as tau is symmetric
@@ -85,14 +85,15 @@ def _flip_gram(spec: Spectrum) -> list[list]:
 def tangle(rho: DensityMatrix) -> float:
     """Spin-flip entanglement measure in [0, 1]; 0 for separable states.
 
-    Wootters' factor route: with Psi = V sqrt(w) from the spectrum that
-    :func:`states.validate` stored on the state, the l_k are the singular
-    values of tau = Psi^T (sigma_y (x) sigma_y) Psi, taken as the square
-    roots of the eigenvalues of tau^dag tau.  tau is quadratic in Psi, so
-    rounding noise in a null eigenvalue w of rho moves the l_k by about w,
-    not sqrt(w), and rank-deficient states keep rounding accuracy.
+    Wootters' factor route: with Psi the factor that :func:`states.validate`
+    stored on the state (rho = Psi Psi^dag; see :class:`states.DensityMatrix`),
+    the l_k are the singular values of
+    tau = Psi^T (sigma_y (x) sigma_y) Psi, taken as the square roots of the
+    eigenvalues of tau^dag tau; they are the same for every factor of rho.
+    tau is quadratic in Psi, so a rounding-sized pivot of a rank-deficient
+    state moves the l_k by about its size, not its square root.
     """
-    gram = _flip_gram(rho.spectrum)  # entries at most 16: hermitian_lists' checks cannot fail
+    gram = _flip_gram(rho.factor)  # entries at most 16: hermitian_lists' checks cannot fail
     for k, row in enumerate(gram):
         row[k] = row[k].real
     lam = [math.sqrt(max(x, 0.0)) for x in sorted(jacobi_eigenvalues(gram), reverse=True)]

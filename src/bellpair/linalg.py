@@ -1,15 +1,17 @@
-"""Dense eigensolvers for the fixed small matrices used everywhere else.
+"""Dense eigensolvers and a Cholesky factorization for the fixed small matrices.
 
 Cyclic Jacobi diagonalization for complex Hermitian 4x4 and real symmetric
-3x3 matrices, plus the Hermitian PSD matrix square root.  No LAPACK-backed
-routine is called, and no numpy: input arrays or nested sequences are read
-once into nested lists of Python scalars (``float`` for real input), and
-the checks, rotations, phase fix, sort and tie-break all run on those, so
-results are rounded as CPython rounds scalars, whatever the host's SIMD or
-BLAS kernels.  Results are tuples.  Only the lower triangle and the real
-diagonal are read (LAPACK ``zheev``'s ``UPLO='L'``): the working matrix
-is exactly Hermitian, and each rotation sets rows p and q to the conjugates
-of columns p and q, which is bitwise what the two-sided update gives there.
+3x3 matrices, the Hermitian PSD matrix square root, and a diagonally pivoted
+Cholesky factorization that certifies positivity without eigenvalues.  No
+LAPACK-backed routine is called, and no numpy: input arrays or nested
+sequences are read once into nested lists of Python scalars (``float`` for
+real input), and the checks, rotations, phase fix, sort and tie-break all
+run on those, so results are rounded as CPython rounds scalars, whatever
+the host's SIMD or BLAS kernels.  Results are tuples.  Only the lower
+triangle and the real diagonal are read (LAPACK ``zheev``'s ``UPLO='L'``):
+the working matrix is exactly Hermitian, and each rotation sets rows p and
+q to the conjugates of columns p and q, which is bitwise what the two-sided
+update gives there.
 So convergence is tested on the stored lower triangle alone: half the squared
 off-diagonal norm against ``OFFDIAG_TOL**2 / 2``.  That differs from the full
 norm against ``OFFDIAG_TOL`` only by rounding, and near convergence a sweep
@@ -157,6 +159,41 @@ def jacobi_eigenvalues(a: list[list], v: list[list] | tuple = ()) -> list[float]
     return [a[k][k] for k in range(n)]
 
 
+def cholesky_factor(a: list[list]) -> tuple[tuple[tuple, ...], bool]:
+    """Rows of a factor Psi of ``a``, exactly Hermitian with a real diagonal as from
+    :func:`hermitian_lists`, and whether all n pivots were positive; ``a`` is not changed.
+
+    Diagonally pivoted Cholesky: step k takes the largest remaining diagonal of the
+    Schur complement as its pivot (the first such index on ties), and the factorization
+    stops at the first pivot that is not above 0, leaving columns k .. n-1 of Psi zero.
+    Run to completion, Psi Psi^dag = a + E with ||E||_2 <= gamma_{n+1} tr(a)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3)."""
+    n = len(a)
+    d = [a[i][i] for i in range(n)]
+    psi = [[0j] * n for _ in range(n)]
+    rest = list(range(n))
+    for k in range(n):
+        p = rest[0]
+        for i in rest:
+            if d[i] > d[p]:
+                p = i
+        piv = d[p]
+        if not piv > 0.0:  # also stops on a NaN pivot
+            return tuple(map(tuple, psi)), False
+        rest.remove(p)
+        r = math.sqrt(piv)
+        row_p = psi[p]
+        row_p[k] = complex(r)
+        for i in rest:
+            row = psi[i]
+            s = a[i][p]
+            for m in range(k):
+                s -= row[m] * row_p[m].conjugate()
+            row[k] = x = s / r
+            d[i] -= x.real * x.real + x.imag * x.imag
+    return tuple(map(tuple, psi)), True
+
+
 def _fix_phase(col: tuple) -> list:
     """Make the (first) largest-magnitude entry of a unit column real and positive."""
     mags = list(map(abs, col))
@@ -186,12 +223,10 @@ def jacobi_spectrum(a: list[list]) -> Spectrum:
 
 
 def check_psd(w) -> None:
-    """Raise NotPositive for an eigenvalue below -1e-8 in a spectrum from
-    :func:`jacobi_spectrum`.  It is descending but for the 1e-12 tie-break inside
-    degenerate runs, so a negative eigenvalue leaves ``w[-1]`` negative; only then
-    is the minimum taken."""
-    if w[-1] < 0.0 and min(w) < PSD_FLOOR:
-        raise NotPositive(f"eigenvalue {min(w):.3e} below {PSD_FLOOR}")
+    """Raise NotPositive for an eigenvalue below -1e-8 among ``w``, in any order."""
+    lowest = min(w)
+    if lowest < PSD_FLOOR:
+        raise NotPositive(f"eigenvalue {lowest:.3e} below {PSD_FLOOR}")
 
 
 def eig_hermitian(m) -> Spectrum:

@@ -25,7 +25,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .linalg import check_psd, hermitian_lists, jacobi_spectrum
+from .linalg import PSD_FLOOR, check_psd, cholesky_factor, hermitian_lists, jacobi_eigenvalues, ordered_sum
 
 # The signed-permutation Paulis 1, sigma_x, sigma_y, sigma_z as (rows, phases):
 # column c has its one nonzero, phases[c], in row rows[c].
@@ -55,14 +55,15 @@ class GammaOutOfRange(ValueError):
     """Werner mixing weight outside [0, 1]."""
 
 
-class DensityMatrix(namedtuple("DensityMatrix", "mat spectrum")):
+class DensityMatrix(namedtuple("DensityMatrix", "mat factor")):
     """A validated two-qubit state. Build through :func:`validate`.
 
     ``mat`` is the lower triangle of the input, mirrored, with a real
-    diagonal, as a tuple of rows, so it is exactly Hermitian; ``spectrum`` is
-    its eigendecomposition (a ``linalg.Spectrum``), which :func:`validate`
-    computed for its positivity check and :func:`bell.tangle` takes a factor
-    of the state from.
+    diagonal, as a tuple of rows, so it is exactly Hermitian; ``factor`` holds
+    the rows of a 4x4 matrix Psi with Psi Psi^dag = mat to within 1e-8 entrywise
+    (to rounding, about 1e-15, whenever the pivoted Cholesky factor that
+    :func:`validate` certified positivity with ran to completion), unused
+    columns zero.  :func:`bell.tangle` reads Psi.
     """
 
     __slots__ = ()
@@ -90,7 +91,17 @@ class PauliDecomposition(namedtuple("PauliDecomposition", "A P D")):
 
 
 def validate(mat) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity; keep the matrix it diagonalized."""
+    """Check Hermiticity, unit trace and positivity; keep the matrix and a factor of it.
+
+    Positivity is certified by :func:`linalg.cholesky_factor`: when all four pivots are
+    positive, the matrix is within about 1e-15 of a PSD one, far inside the -1e-8 floor
+    of :func:`linalg.check_psd`, so no eigenvalue is computed.  When the factor breaks
+    down (rank-deficient or slightly indefinite input), the Jacobi eigenvalues decide
+    through :func:`linalg.check_psd`.  An accepted state whose truncated factor misses
+    the matrix by more than 1e-8 in some entry (a tiny pivot before an indefinite
+    remainder can leave such a factor) gets the eigenvector factor V sqrt(max(w, 0))
+    of the clamped spectrum instead.
+    """
     a = hermitian_lists(mat, 4, complex)
     tr = 0.0  # the real diagonal of the kept matrix, added left to right
     for i in range(4):
@@ -98,9 +109,17 @@ def validate(mat) -> DensityMatrix:
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr:.12g}, expected 1")
     kept = tuple(map(tuple, a))  # before the rotations overwrite ``a``
-    spec = jacobi_spectrum(a)
-    check_psd(spec.eigenvalues)
-    return DensityMatrix(kept, spec)
+    factor, complete = cholesky_factor(a)
+    if not complete:
+        check_psd(jacobi_eigenvalues(a))
+        # the truncated factor stays if it reproduces every entry to the 1e-8 that check_psd forgives
+        residual = max(abs(kept[i][j] - ordered_sum(x * y.conjugate() for x, y in zip(factor[i], factor[j])))
+                       for i in range(4) for j in range(i + 1))
+        if residual > -PSD_FLOOR:
+            v = [[complex(i == j) for j in range(4)] for i in range(4)]
+            roots = [math.sqrt(max(0.0, x)) for x in jacobi_eigenvalues([list(row) for row in kept], v)]
+            factor = tuple(tuple(x * r for x, r in zip(row, roots)) for row in v)
+    return DensityMatrix(kept, factor)
 
 
 def decompose(rho: DensityMatrix) -> PauliDecomposition:

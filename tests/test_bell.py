@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpair.bell import AnalyzerDirections, NonUnitDirection, _flip_gram, horodecki_max, tangle
-from bellpair.linalg import hermitian_lists, jacobi_eigenvalues
+from bellpair.linalg import cholesky_factor, hermitian_lists, jacobi_eigenvalues
 from bellpair.protocol import angle_to_direction
 from bellpair.states import NAMED_STATES, DensityMatrix, decompose, singlet, unpolarized, validate, werner
 from conftest import haar_unitary2, random_density_matrix, random_mixture, random_unit3
@@ -174,13 +174,13 @@ def test_report_exposes_purity_and_tangle():
     assert report.tangle == pytest.approx(0.85, abs=1e-10)
 
 
-def test_tangle_reads_only_the_stored_spectrum():
+def test_tangle_reads_only_the_stored_factor():
     rng = np.random.default_rng(20261018)
     states = [random_density_matrix(rng) for _ in range(20)]
     states += [random_mixture(rng) for _ in range(20)]
     states += [singlet(), unpolarized(), werner(0.9), werner(0.3)]
     for rho in states:
-        blank = DensityMatrix(np.zeros((4, 4), dtype=complex), rho.spectrum)
+        blank = DensityMatrix(np.zeros((4, 4), dtype=complex), rho.factor)
         assert tangle(blank) == tangle(rho)
 
 
@@ -191,7 +191,7 @@ def random_factor_state(rng: np.random.Generator, rank: int):
     return validate(m / np.trace(m).real), g
 
 
-@pytest.mark.parametrize("rank, bound", [(1, 1e-14), (2, 1e-11), (3, 1e-11), (4, 1e-11)])
+@pytest.mark.parametrize("rank, bound", [(1, 1e-14), (2, 1e-14), (3, 1e-14), (4, 1e-14)])
 def test_tangle_matches_the_mpmath_factor_oracle(rank, bound):
     rng = np.random.default_rng(300 + rank)
     worst = 0.0
@@ -199,6 +199,41 @@ def test_tangle_matches_the_mpmath_factor_oracle(rank, bound):
         rho, g = random_factor_state(rng, rank)
         worst = max(worst, abs(tangle(rho) - tangle_factor_mp(g)))
     assert worst <= bound
+
+
+def _unitary4(rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q
+
+
+@pytest.mark.parametrize("positive", [1, 2, 3])
+def test_tangle_near_the_psd_floor_stays_with_the_clamped_state(positive):
+    # one eigenvalue in [-1e-8, 0): validate accepts the state, and its factor may drop that
+    # eigenvalue another way than clamping it, so the tangle moves by about its size
+    rng = np.random.default_rng(310 + positive)
+    worst = 0.0
+    for _ in range(100):
+        u = _unitary4(rng)
+        neg = -rng.uniform(0.0, 1e-8)
+        w = np.concatenate([rng.dirichlet(np.ones(positive)) * (1.0 - neg), [neg], np.zeros(3 - positive)])
+        rho = validate((u * w) @ u.conj().T)
+        worst = max(worst, abs(tangle(rho) - tangle_factor_mp(u * np.sqrt(np.clip(w, 0.0, None)))))
+    assert worst <= 1e-7
+
+
+def test_a_factor_that_misses_its_matrix_gives_way_to_the_clamped_eigenvector_factor():
+    # a diagonal of 2e-20 pivots before an indefinite remainder of about -1e-8: Cholesky
+    # leaves rows of about 50 behind, so a factor truncated there would give a tangle of 4900
+    tiny, c = 1e-20, 0.7e-8
+    m = np.diag([1.0 - 4 * tiny, tiny, tiny, 2 * tiny]).astype(complex)
+    m[3, 1] = m[1, 3] = m[3, 2] = m[2, 3] = c
+    psi, complete = cholesky_factor(hermitian_lists(m, 4, complex))
+    assert not complete and max(abs(x) for row in psi for x in row) > 10.0
+    rho = validate(m)
+    factor = np.asarray(rho.factor)
+    assert np.max(np.abs(factor @ factor.conj().T - m)) <= 1e-8
+    w, v = np.linalg.eigh(m)
+    assert abs(tangle(rho) - tangle_factor_mp(v * np.sqrt(np.clip(w, 0.0, None)))) <= 1e-8
 
 
 def test_tangle_of_pure_product_states_is_zero_to_rounding():
@@ -221,7 +256,7 @@ def test_tangle_follows_the_werner_line_to_rounding():
 
 def tangle_through_the_reader(rho: DensityMatrix) -> float:
     """The tangle with its Gram matrix sent through ``hermitian_lists`` first."""
-    w = sorted(jacobi_eigenvalues(hermitian_lists(_flip_gram(rho.spectrum), 4, complex)), reverse=True)
+    w = sorted(jacobi_eigenvalues(hermitian_lists(_flip_gram(rho.factor), 4, complex)), reverse=True)
     lam = [math.sqrt(max(x, 0.0)) for x in w]
     return max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
 
@@ -240,7 +275,7 @@ def test_the_tangle_gram_is_exactly_hermitian_and_needs_no_reader(seed, rank):
               product_state(a / (np.linalg.norm(a) * rng.uniform(1, 2)), p / (np.linalg.norm(p) * rng.uniform(1, 2))),
               product_state((0, 0, rng.choice([-1, 1])), (0, 0, rng.uniform(-1, 1)))]  # diagonal: float eigenvectors
     for rho in states + [make() for make in NAMED_STATES.values()]:
-        gram = _flip_gram(rho.spectrum)
+        gram = _flip_gram(rho.factor)
         for i in range(4):
             assert gram[i][i].imag == 0.0
             for j in range(i + 1, 4):

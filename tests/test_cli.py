@@ -527,8 +527,9 @@ def test_json_output_rejects_nan_and_the_encoder_keeps_working():
 # output change, to be announced.  The data has an angle that needs all its
 # digits, so the CSV digests also pin lossless angle fields.  The matrix and
 # Pauli states are full rank and entangled, so ``analyze`` prints every field
-# and all four directions; their digests pin the Jacobi, tangle and settings
-# arithmetic.  The Werner and named states cover the other two state kinds.
+# and all four directions; their digests pin the Jacobi, Cholesky factor,
+# tangle and settings arithmetic.  The Werner and named states cover the other
+# two state kinds.
 GOLDEN_DATA = "12.3456789, 0.1, 45, 135, 1.9, 0.2\n50, 0, 25, 75, 2.3, 0.3\n90, 0, 45, 135, 2.2, 0.25\n"
 GOLDEN_STATES = {
     "matrix.json": {"kind": "matrix",
@@ -552,21 +553,21 @@ GOLDEN_DIGESTS = {
     ("fit --data data.txt", "table"): "9bbdf1d71cec68ef497509dea4d15636377ef48fc942af2d65a863f5d72c6978",
     ("fit --data data.txt", "json"): "24be86d136e0a74e39070e20c0fdd9fb14266e7bcd237830721e4c5f85fdc35e",
     ("fit --data data.txt", "csv"): "18543ea5af810fcb5c37644d17a032c0af6ff00f32c0015595533df629eb4c32",
-    ("analyze --state matrix.json", "json"): "e1866918e6fa6b4a13c48fa9f7aed099cdcbbff50d8ba63825e98228f3ed2cea",
-    ("analyze --state matrix.json", "csv"): "1f9ef4c971576f78af31ee702d7c723f108c61e40f7185d7d0c2377ccc72e34d",
-    ("analyze --state pauli.json", "json"): "0ba9c8bf575ff396f9bf90749a366ee1e150e471d8eeb606cf202c7d565101ee",
-    ("analyze --state pauli.json", "csv"): "eb3fcdf02756167f6c6b4a56d459d0c5e2c67a80c221820d66c131850780ae5d",
+    ("analyze --state matrix.json", "json"): "e3a3b6272de5e9484a635310d01817545ebe0540bd6a5f9bdba968e8993df6ab",
+    ("analyze --state matrix.json", "csv"): "e28d1cc1e4534024ce513e3b648616208c007fbf0aea069654361f43c844f328",
+    ("analyze --state pauli.json", "json"): "d682779f6baa21878c7fff16c5aab5be2cd2b23ee5000eb4797a9812df85f1ed",
+    ("analyze --state pauli.json", "csv"): "31df1dfa7841ca1c79e2e939ca35aec0fbc30d830955941e117e37801235c1e9",
     ("sweep", "table"): "03b3b588e779668641bf5c110dc5fd3936d82d06ca4e7f31744dd01f5519a8b3",
-    ("sweep", "json"): "d8aaf3c4370f2e87e5b665710860cce9852195b26d9559f387cfe0368ac48421",
-    ("sweep", "csv"): "ee3f5db7328e418920cebb91e85e82350ab0d51efd4a547e7c0afcb8520a28cf",
+    ("sweep", "json"): "768fd41d2862d1930157fe86d3d1959c236badb9f3e60aecb551c3a838175151",
+    ("sweep", "csv"): "6ff4459f7f7185337fc922892b53c8c675535b107f449c18e085df565ed2a113",
     ("analyze --state matrix.json", "table"): "912a3b4e7509c024796a657aa1d3769212af13d44c91d0f893ac7430c61908e7",
     ("analyze --state pauli.json", "table"): "93b1baac74ef633ee2f2240342ac902f0a8034b4b1ea7a904021bdb618c55b85",
     ("analyze --state werner.json", "table"): "be0efae9fb3968dab9cccc8183c4cdf814d4c206243916fbf83c041d4318a73b",
-    ("analyze --state werner.json", "json"): "7e0a16e3dcca3640a0b0b41d56ade920e57c9de9a3b5ed8298628aa50e68da94",
-    ("analyze --state werner.json", "csv"): "cd0695b19913de432b6894c505b77d0ffffe41c5e1921ca23bb720bf3c4a23ec",
+    ("analyze --state werner.json", "json"): "7b5d7c4a0de736bce034bcfcd0263ac6d6f14746df882aa8b62bea8650efad88",
+    ("analyze --state werner.json", "csv"): "e0e654961fa4a1cb38a54810e44d1eaba9bfd9218e7d13dc0dce0580c360a28a",
     ("analyze --state named.json", "table"): "9b2874842850f5810b4044e28eeca9c489131460e7a5e4ac13dd5b738186d628",
-    ("analyze --state named.json", "json"): "96acf5d3500f08e4b53393dfba7631498da73c18e8a67db2ede97135126a915a",
-    ("analyze --state named.json", "csv"): "0fb067d6cff1fc513d8cf2779830ce04ddeeafd3064fe237c9b2a021641b06b2",
+    ("analyze --state named.json", "json"): "b12922d3d46db036eff872d8d5d17b69f26644ac5a954be759ac7ac4aff1d24b",
+    ("analyze --state named.json", "csv"): "72a800887e8dd0313bb836be7d283c6694bc1441f8940c5bf985cb610674f554",
     # the whole counts text: format marker, manifest comments, column header and rows
     ("simulate --state werner.json --settings settings.txt --events 1000 --seed 1", "table"):
         "2268397b1dcb40f2073b3916906823bb9e9687bc17d9ae65a576cb5252e6e8bf",

@@ -4,17 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellpair.linalg as linalg
+import bellpair.states as states
 from bellpair.linalg import (
     NoConvergence,
     NotHermitian,
     NotPositive,
+    check_psd,
+    cholesky_factor,
     eig_hermitian,
     eig_symmetric3,
     hermitian_lists,
     jacobi_eigenvalues,
     sqrt_psd,
 )
-from bellpair.states import validate, werner
+from bellpair.states import NAMED_STATES, validate, werner
 from oracles import jacobi_numpy, jacobi_two_sided, sorted_spectrum
 
 
@@ -224,6 +227,67 @@ def test_psd_rule_reports_the_smaller_of_a_near_degenerate_pair():
     assert eig_hermitian(np.diag([0.6, 0.4 - low - lower, low, lower])).eigenvalues[-1] == low
 
 
+def test_check_psd_takes_eigenvalues_in_any_order():
+    w = [0.6, -2e-8, 0.4, 2e-8]
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2], [3, 2, 1, 0]):
+        with pytest.raises(NotPositive, match="^eigenvalue -2.000e-08 below -1e-08$"):
+            check_psd([w[k] for k in order])
+    check_psd([0.5, -1e-8, 0.5, 0.0])
+
+
+def _verdict(check, m):
+    """None if ``check(m)`` returns, else the type and message of what it raised."""
+    try:
+        check(m)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Eigenvalues placed around the PSD floor, around zero and inside the rejected range.
+PLACED = st.one_of(st.sampled_from([-1e-8 - 1e-15, -1e-8, -1e-8 + 1e-15, -1e-15, 0.0, 1e-15]),
+                   st.floats(-1e-3, -1e-8 - 1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), positive=st.integers(1, 3), data=st.data())
+def test_the_cholesky_certificate_keeps_the_jacobi_verdict(seed, positive, data):
+    # ranks 1-4: 1-3 clearly positive eigenvalues, each other one placed (1e-15 makes it a full rank)
+    placed = [data.draw(PLACED) for _ in range(4 - positive)]
+    rng = np.random.default_rng(seed)
+    w = np.concatenate([rng.dirichlet(np.ones(positive)) * (1.0 - sum(placed)), placed])
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, _ = np.linalg.qr(g)
+    m = (u * w) @ u.conj().T
+    want = _verdict(lambda m: check_psd(jacobi_eigenvalues(hermitian_lists(m, 4, complex))), m)
+    assert _verdict(validate, m) == want
+
+
+def test_validate_runs_jacobi_only_when_the_factor_breaks_down(monkeypatch):
+    calls = []
+
+    def counted(a, v=()):
+        calls.append(len(a))
+        return jacobi_eigenvalues(a, v)
+
+    named = {name: make().mat for name, make in NAMED_STATES.items()}  # built before counting
+    # validate reaches the kernel through the name it imported
+    monkeypatch.setattr(linalg, "jacobi_eigenvalues", counted)
+    monkeypatch.setattr(states, "jacobi_eigenvalues", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = g @ g.conj().T
+        rho = validate(m / np.trace(m).real)
+        assert cholesky_factor(hermitian_lists(rho.mat, 4, complex))[1]
+    validate(named["unpolarized"])
+    assert calls == []
+    for name in ("singlet", "triplet0", "phi_plus", "phi_minus"):
+        validate(named[name])
+        assert calls == [4]
+        calls.clear()
+
+
 def test_degenerate_ordering_is_deterministic():
     m = werner(0.9).mat
     a = eig_hermitian(m)
@@ -255,7 +319,8 @@ def test_hermitian4_eigenvalues_bitwise_equal_two_sided_rotations(seed, rank):
         w = sorted(jacobi_two_sided(m)[0].tolist())
         assert w == sorted(eig_hermitian(m).eigenvalues)
         assert w == sorted(jacobi_eigenvalues(hermitian_lists(m, 4, complex)))
-    assert sorted(jacobi_two_sided(rho)[0].tolist()) == sorted(validate(rho).spectrum.eigenvalues)
+    kept = hermitian_lists(validate(rho).mat, 4, complex)
+    assert sorted(jacobi_two_sided(rho)[0].tolist()) == sorted(jacobi_eigenvalues(kept))
 
 
 def raw_jacobi(m, n, dtype):
@@ -316,10 +381,10 @@ def test_near_hermitian_input_has_the_spectrum_of_its_mirrored_lower_triangle(se
     mirror = mirrored_lower(m)
     assert np.max(np.abs(m - m.conj().T)) <= 1e-10
     assert not np.array_equal(m, mirror)
-    for got, want in ((eig_hermitian(m), eig_hermitian(mirror)),
-                      (validate(m).spectrum, validate(mirror).spectrum)):
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    got, want = eig_hermitian(m), eig_hermitian(mirror)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    assert validate(m) == validate(mirror)  # the same kept matrix and the same factor
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellpair.bell import AnalyzerDirections, BellReport, NonUnitDirection, horodecki_max
-from bellpair.linalg import Spectrum
+from bellpair.linalg import Spectrum, eig_hermitian
 from bellpair.protocol import AngleSettings, ChshDatum, CountTable, FitResult, NonpositiveError
 from bellpair.simulate import SimConfig, SimConfigError
 from bellpair.states import DensityMatrix, PauliDecomposition, singlet
@@ -20,9 +20,10 @@ def valid_fields():
     """Valid keyword arguments of each record, in field order."""
     rho = singlet()
     report = horodecki_max(rho)
+    spectrum = eig_hermitian(rho.mat)
     return {
-        Spectrum: dict(eigenvalues=rho.spectrum.eigenvalues, eigenvectors=rho.spectrum.eigenvectors),
-        DensityMatrix: dict(mat=rho.mat, spectrum=rho.spectrum),
+        Spectrum: dict(eigenvalues=spectrum.eigenvalues, eigenvectors=spectrum.eigenvectors),
+        DensityMatrix: dict(mat=rho.mat, factor=rho.factor),
         PauliDecomposition: dict(A=(0.1, 0.0, 0.0), P=(0.0, 0.2, 0.0), D=((-0.5, 0.0, 0.0),) * 3),
         AngleSettings: dict(phi1=0.0, phi1p=45.0, phi2=22.5, phi2p=67.5),
         CountTable: dict(phi1=0.0, phi2=22.5, n_pp=1, n_pm=2, n_mp=3, n_mm=4),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpair.bell import tangle
-from bellpair.linalg import NotHermitian, NotPositive, eig_hermitian
+from bellpair.linalg import NotHermitian, NotPositive, cholesky_factor, eig_hermitian, hermitian_lists
 from bellpair.states import (
     _PRODUCTS,
     SINGLET_PAULI,
@@ -251,13 +251,15 @@ def test_decompose_bitwise_equals_per_call_kron(seed):
         assert _same_bits(decompose(rho), *decompose_kron(rho.mat))
 
 
-def test_validate_keeps_the_spectrum_of_its_matrix():
+def test_validate_keeps_the_factor_of_its_matrix():
     rho = random_density_matrix(np.random.default_rng(3))
-    fresh = eig_hermitian(rho.mat)
-    assert np.array_equal(rho.spectrum.eigenvalues, fresh.eigenvalues)
-    assert np.array_equal(rho.spectrum.eigenvectors, fresh.eigenvectors)
+    fresh, complete = cholesky_factor(hermitian_lists(rho.mat, 4, complex))
+    assert complete
+    assert rho.factor == fresh
+    psi = np.asarray(rho.factor)
+    assert np.max(np.abs(psi @ psi.conj().T - rho.mat)) <= 1e-15
     with pytest.raises(TypeError):
-        rho.spectrum.eigenvalues[0] = 0.0
+        rho.factor[0] = 0.0
 
 
 def test_decompose_keeps_the_sign_of_zero_of_the_kron_route():
@@ -298,7 +300,7 @@ def test_named_states_are_shared_and_read_only():
     for make in NAMED:
         rho = make()
         assert make() is rho
-        for part in (rho.mat, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
+        for part in (rho.mat, rho.factor, rho.factor[0]):
             assert type(part) is tuple
             with pytest.raises(TypeError):
                 part[0] = 0.0
