@@ -9,9 +9,12 @@ real input), and the checks, rotations, phase fix, sort and tie-break all
 run on those, so results are rounded as CPython rounds scalars, whatever
 the host's SIMD or BLAS kernels.  Results are tuples.  Only the lower
 triangle and the real diagonal are read (LAPACK ``zheev``'s ``UPLO='L'``):
-the working matrix is exactly Hermitian, and each rotation sets rows p and
-q to the conjugates of columns p and q, which is bitwise what the two-sided
-update gives there.
+the working matrix is exactly Hermitian.  Each rotation updates columns p and
+q of the other rows and sets rows p and q to their conjugates, which is
+bitwise what a two-sided update gives there, and sets the pivot block by the
+symmetric Schur update app + t|apq|, aqq - t|apq| and 0 (Golub & Van Loan,
+Matrix Computations, 4th ed., 8.5): what the rotation gives in exact
+arithmetic, rounded once per entry.
 So convergence is tested on the stored lower triangle alone: half the squared
 off-diagonal norm against ``OFFDIAG_TOL**2 / 2``.  That differs from the full
 norm against ``OFFDIAG_TOL`` only by rounding, and near convergence a sweep
@@ -126,11 +129,11 @@ def _rotate(a: list[list], v: list[list], p: int, q: int, others: list[int]) -> 
         row[q] = xq = -s_conj * x + c * y
         ap[k] = xp.conjugate()
         aq[k] = xq.conjugate()
-    # the pivot block, two-sided; the rotation annihilates the pivot
-    # exactly, so its rounding residue is cleared
-    aqp = aq[p]
-    ap[p] = (c * (c * app + s * apq) + s_conj * (c * aqp + s * aqq)).real
-    aq[q] = (-s * (-s_conj * app + c * apq) + c * (-s_conj * aqp + c * aqq)).real
+    # the pivot block by the symmetric Schur update (Golub & Van Loan, Matrix Computations,
+    # 4th ed., 8.5): t^2 - 2 phi t - 1 = 0 makes the rotated diagonal exactly app + t r and
+    # aqq - t r, and the rotated pivot exactly 0, so no rounding residue is kept
+    ap[p] = app + t * r
+    aq[q] = aqq - t * r
     ap[q] = aq[p] = 0.0
 
     for row in v:

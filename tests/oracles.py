@@ -1,16 +1,18 @@
-"""Independent cross-check routes, used only by the tests.
+"""Independent cross-check routes, used by the tests and by ``scripts/accuracy.py``.
 
 Each oracle deliberately avoids the code path it checks: one tangle oracle
 roots the quartic characteristic polynomial of the non-Hermitian spin-flip
 product instead of diagonalizing a Hermitian form, the other takes a 40-digit
 mpmath SVD of the generator's own factor instead of one rebuilt from a
-floating-point spectrum, and the fit oracle does
+floating-point spectrum; the 40-digit eigenvalue, tangle and correlation
+oracles take a float matrix exactly as given to mpmath; and the fit oracle does
 a brute-force grid search instead of using the closed-form minimizer, and
 the sampler oracle draws through ``Generator.integers`` in one piece and
 bins with ``searchsorted`` instead of counting chunks of raw Philox words.
 The Jacobi oracles rotate numpy array slices, or nested lists of Python
 ``complex`` with a full two-sided update of every row and column, instead
-of mirroring rows from columns on exactly Hermitian storage, and their
+of mirroring rows from columns on exactly Hermitian storage; like the
+kernel, they then set the pivot block by the symmetric Schur update.  Their
 post-processing phase-fixes and sorts numpy columns instead of lists.  The
 decomposition and composition oracles build their Kronecker products on
 every call and multiply densely instead of gathering from, or adding, a
@@ -61,19 +63,35 @@ def tangle_charpoly(rho_mat: np.ndarray) -> float:
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
 
 
-def tangle_factor_mp(g: np.ndarray) -> float:
-    """Tangle of rho = g g^dag / Tr(g g^dag) for a 4 x r factor ``g``.
+def _wootters_mp(f: mpmath.matrix):
+    """max(l1 - l2 - l3 - l4, 0) for the singular values l_k of f^T (sigma_y (x) sigma_y) f,
+    a 4 x r mpmath factor ``f`` (Wootters, PRL 80, 2245, 1998); missing l_k are zero."""
+    tau = f.T * mpmath.matrix(_YY.tolist()) * f
+    lam = sorted(mpmath.svd_c(tau, compute_uv=False), reverse=True) + [0] * (4 - tau.rows)
+    return max(lam[0] - lam[1] - lam[2] - lam[3], 0)
 
-    The l_k are the singular values of g^T (sigma_y (x) sigma_y) g / Tr(g g^dag)
-    (Wootters, PRL 80, 2245, 1998), taken at 40 significant digits; missing
-    ones are zero.
-    """
+
+def tangle_factor_mp(g: np.ndarray) -> float:
+    """Tangle of rho = g g^dag / Tr(g g^dag) for a 4 x r factor ``g``, at 40 significant digits."""
     with mpmath.workdps(40):
         f = mpmath.matrix(g.tolist())
-        norm = sum(abs(x) ** 2 for x in f)
-        tau = f.T * mpmath.matrix(_YY.tolist()) * f / norm
-        lam = sorted(mpmath.svd_c(tau, compute_uv=False), reverse=True) + [0] * (4 - tau.rows)
-        return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
+        return float(_wootters_mp(f) / sum(abs(x) ** 2 for x in f))
+
+
+def eigvalsh_mp(m) -> list:
+    """Ascending eigenvalues, as 40-digit ``mpf``, of the Hermitian (real: symmetric) matrix ``m``,
+    its entries taken exactly as given."""
+    with mpmath.workdps(40):
+        return list(mpmath.eigh(mpmath.matrix(np.asarray(m).tolist()), eigvals_only=True))
+
+
+def tangle_mp(mat):
+    """Tangle, as a 40-digit ``mpf``, of the Hermitian 4x4 matrix ``mat`` exactly as given, not
+    normalized: Wootters' route on the factor V sqrt(max(w, 0)) of its 40-digit eigendecomposition,
+    so an eigenvalue below 0 is clamped."""
+    with mpmath.workdps(40):
+        w, v = mpmath.eighe(mpmath.matrix(np.asarray(mat).tolist()))
+        return _wootters_mp(v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]))
 
 
 def gamma_grid_search(data, step: float = 1e-4) -> tuple[float, float]:
@@ -109,8 +127,8 @@ def _rotate_numpy(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     if r == 0.0:
         return
     phase = apq / r
-    delta = (a[q, q] - a[p, p]).real
-    phi = delta / (2.0 * r)
+    app, aqq = a[p, p].real, a[q, q].real
+    phi = (aqq - app) / (2.0 * r)
     if phi == 0.0:
         t = 1.0
     else:
@@ -127,8 +145,8 @@ def _rotate_numpy(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     a[q, :] = row_q
     a[p, q] = 0.0
     a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
+    a[p, p] = app + t * r
+    a[q, q] = aqq - t * r
     vcol_p = c * v[:, p] + s * v[:, q]
     vcol_q = -np.conj(s) * v[:, p] + c * v[:, q]
     v[:, p] = vcol_p
@@ -138,9 +156,9 @@ def _rotate_numpy(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
 def jacobi_numpy(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     """Unsorted eigenvalues and eigenvectors by cyclic Jacobi on numpy slices.
 
-    Same pivot order, rotation formula and pivot clean-up as
-    ``bellpair.linalg.jacobi_eigenvalues``; each rotation updates whole rows and
-    columns as numpy arrays.
+    Same pivot order, rotation formula, pivot block app + t r, aqq - t r and pivot
+    clean-up as ``bellpair.linalg.jacobi_eigenvalues``; each rotation updates whole
+    rows and columns as numpy arrays, then overwrites the pivot block.
     """
     n = m.shape[0]
     a = np.array(m, dtype=complex)
@@ -162,8 +180,8 @@ def _rotate_two_sided(a: list, v: list, p: int, q: int) -> None:
     if r == 0.0:
         return
     phase = apq / r
-    delta = (aq[q] - ap[p]).real
-    phi = delta / (2.0 * r)
+    app, aqq = ap[p].real, aq[q].real
+    phi = (aqq - app) / (2.0 * r)
     if phi == 0.0:
         t = 1.0
     else:
@@ -179,8 +197,8 @@ def _rotate_two_sided(a: list, v: list, p: int, q: int) -> None:
         ap[k] = c * x + s_conj * y
         aq[k] = -s * x + c * y
     ap[q] = aq[p] = 0j
-    ap[p] = complex(ap[p].real)
-    aq[q] = complex(aq[q].real)
+    ap[p] = complex(app + t * r)
+    aq[q] = complex(aqq - t * r)
     for row in v:
         x, y = row[p], row[q]
         row[p] = c * x + s * y
@@ -191,8 +209,9 @@ def jacobi_two_sided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unsorted eigenvalues and eigenvectors by cyclic Jacobi on lists of ``complex``.
 
     Every rotation updates all of columns p and q, then all of rows p and
-    q, of the whole input, both triangles as given.  Same pivot order,
-    rotation formula and pivot clean-up as ``bellpair.linalg.jacobi_eigenvalues``;
+    q, of the whole input, both triangles as given, then overwrites the pivot
+    block.  Same pivot order, rotation formula, pivot block app + t r, aqq - t r
+    and pivot clean-up as ``bellpair.linalg.jacobi_eigenvalues``;
     it stops on the full off-diagonal norm, which ``jacobi_eigenvalues`` tests as
     half its square on the stored lower triangle.
     """
@@ -267,6 +286,14 @@ def decompose_kron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for j, sj in enumerate(_PAULIS):
             d[i, j] = np.trace(m @ np.kron(si, sj)).real
     return a, p, d
+
+
+def correlation_mp(mat) -> mpmath.matrix:
+    """D[i][j] = Re Tr[mat (sigma_i (x) sigma_j)] of the 4x4 matrix ``mat`` exactly as given, at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.matrix(np.asarray(mat).tolist())
+        return mpmath.matrix([[mpmath.re(mpmath.fsum(a[r, c] * complex(k[c, r]) for r in range(4) for c in range(4)))
+                               for k in (np.kron(si, sj) for sj in _PAULIS)] for si in _PAULIS])
 
 
 def bell_mean_batch(d: np.ndarray, a: np.ndarray, a_prime: np.ndarray,

@@ -287,6 +287,26 @@ def test_sweep_figure_script_writes_the_sweep_csv(tmp_path, capsys, monkeypatch,
         assert not out.exists() and capsys.readouterr().err.startswith("error: ")
 
 
+def test_accuracy_script_runs_a_tiny_corpus_within_its_bounds(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["accuracy.py", "--per-class", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "accuracy.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    rows = out.splitlines()[2:-1]
+    assert len(rows) == 8 * 7 and not any(row.endswith("OVER") for row in rows)
+    assert out.endswith("every row within its bound\n")
+
+
+def test_accuracy_script_exits_1_when_a_row_exceeds_its_bound(capsys):
+    script = runpy.run_path(str(SCRIPTS / "accuracy.py"))
+    script["BOUNDS"]["eig rho"] = 0.0  # a random rho's eigenvalues are not floats: each error is above 0
+    assert script["main"](["--per-class", "1"]) == 1
+    out = capsys.readouterr().out
+    assert sum(row.endswith("OVER") for row in out.splitlines()) >= 4
+    assert out.endswith(" rows over their bound\n")
+
+
 @pytest.mark.parametrize("arg", ["--step=nan", "--step=inf", "--min=nan", "--max=nan", "--min=-inf", "--max=inf"])
 def test_sweep_rejects_non_finite_bounds(capsys, arg):
     code, out, err = run(capsys, "sweep", arg)
@@ -553,18 +573,18 @@ GOLDEN_DIGESTS = {
     ("fit --data data.txt", "table"): "9bbdf1d71cec68ef497509dea4d15636377ef48fc942af2d65a863f5d72c6978",
     ("fit --data data.txt", "json"): "24be86d136e0a74e39070e20c0fdd9fb14266e7bcd237830721e4c5f85fdc35e",
     ("fit --data data.txt", "csv"): "18543ea5af810fcb5c37644d17a032c0af6ff00f32c0015595533df629eb4c32",
-    ("analyze --state matrix.json", "json"): "e3a3b6272de5e9484a635310d01817545ebe0540bd6a5f9bdba968e8993df6ab",
-    ("analyze --state matrix.json", "csv"): "e28d1cc1e4534024ce513e3b648616208c007fbf0aea069654361f43c844f328",
-    ("analyze --state pauli.json", "json"): "d682779f6baa21878c7fff16c5aab5be2cd2b23ee5000eb4797a9812df85f1ed",
-    ("analyze --state pauli.json", "csv"): "31df1dfa7841ca1c79e2e939ca35aec0fbc30d830955941e117e37801235c1e9",
+    ("analyze --state matrix.json", "json"): "5e6482a8ca52d940034297c6792b36e25460d4c8866c1d31d9285dfd490326ef",
+    ("analyze --state matrix.json", "csv"): "64c38a665740997a45099b9e0678fe9874cf02200dd86e6cfa3481128b21ad65",
+    ("analyze --state pauli.json", "json"): "2c552b5f2786dffff73e9b0a3374fa518dd072295f37fb06264fc0162262b446",
+    ("analyze --state pauli.json", "csv"): "7695f54f807f1e9ea70efaa77c9bc6eb4a3cd425bc0d5a25ffadb5c761c5d732",
     ("sweep", "table"): "03b3b588e779668641bf5c110dc5fd3936d82d06ca4e7f31744dd01f5519a8b3",
-    ("sweep", "json"): "768fd41d2862d1930157fe86d3d1959c236badb9f3e60aecb551c3a838175151",
-    ("sweep", "csv"): "6ff4459f7f7185337fc922892b53c8c675535b107f449c18e085df565ed2a113",
+    ("sweep", "json"): "8b2fdc86f5de04517c494bd1519872a46fa57d5b7bbbe27239e8cf202c296563",
+    ("sweep", "csv"): "2bdf6d1941316d7e1925451c02f26ba1c5e8cbbc42609ee56832322abc64c3f2",
     ("analyze --state matrix.json", "table"): "912a3b4e7509c024796a657aa1d3769212af13d44c91d0f893ac7430c61908e7",
     ("analyze --state pauli.json", "table"): "93b1baac74ef633ee2f2240342ac902f0a8034b4b1ea7a904021bdb618c55b85",
     ("analyze --state werner.json", "table"): "be0efae9fb3968dab9cccc8183c4cdf814d4c206243916fbf83c041d4318a73b",
-    ("analyze --state werner.json", "json"): "7b5d7c4a0de736bce034bcfcd0263ac6d6f14746df882aa8b62bea8650efad88",
-    ("analyze --state werner.json", "csv"): "e0e654961fa4a1cb38a54810e44d1eaba9bfd9218e7d13dc0dce0580c360a28a",
+    ("analyze --state werner.json", "json"): "3e47af9c1053c83b249d3b5f62a78f415a05920d636dfc157551e4edb87b7935",
+    ("analyze --state werner.json", "csv"): "ef77ab144cc62fc3c97793e380459ed872370402a2e93a2c723e77e91e110f0e",
     ("analyze --state named.json", "table"): "9b2874842850f5810b4044e28eeca9c489131460e7a5e4ac13dd5b738186d628",
     ("analyze --state named.json", "json"): "b12922d3d46db036eff872d8d5d17b69f26644ac5a954be759ac7ac4aff1d24b",
     ("analyze --state named.json", "csv"): "72a800887e8dd0313bb836be7d283c6694bc1441f8940c5bf985cb610674f554",

@@ -25,13 +25,14 @@ from bellpair.protocol import (
     chi_square,
     chsh_datum_from_counts,
     chsh_value,
+    correlation as library_correlation,
     estimate_correlation,
     fit_gamma,
     group_counts,
 )
 from bellpair.states import decompose, singlet, werner
 from conftest import random_density_matrix
-from oracles import correlation, gamma_grid_search
+from oracles import correlation, decompose_kron, gamma_grid_search
 
 # regression constant: grid-search minimizer for the embedded dataset
 EMBEDDED_GAMMA_HAT = 0.6919
@@ -67,12 +68,17 @@ def test_correlation_werner_example():
 
 
 def test_correlation_matches_cosine_law_on_five_degree_grid():
+    # the oracle's a.(D b), with its D taken once per gamma, and the library's correlation on every cell
+    grid = range(0, 360, 5)
+    directions = {phi: np.asarray(angle_to_direction(phi)) for phi in grid}
     for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
         rho = werner(gamma)
-        for phi1 in range(0, 360, 5):
-            for phi2 in range(0, 360, 5):
+        d_oracle, d = decompose_kron(rho.mat)[2], decompose(rho).D
+        for phi1 in grid:
+            for phi2 in grid:
                 expected = -gamma * math.cos(math.radians(phi1 - phi2))
-                assert abs(correlation(rho, phi1, phi2) - expected) <= 1e-10
+                assert abs(float(directions[phi1] @ d_oracle @ directions[phi2]) - expected) <= 1e-10
+                assert abs(library_correlation(d, phi1, phi2) - expected) <= 1e-10
 
 
 def test_chsh_value_reference_rows():
