@@ -119,6 +119,16 @@ def test_estimate_correlation_examples():
     assert sig == pytest.approx(math.sqrt(0.96 / 100), abs=1e-12)
 
 
+def test_estimate_correlation_error_stays_positive_beyond_two_to_the_53():
+    big = 2**56 - 3  # E = (big - 1) / (big + 2) rounds to 1.0, and 1 - e*e to 0
+    e, sig = estimate_correlation(CountTable(0, 0, 1, 1, 1, big))
+    assert e == 1.0
+    total = big + 3
+    assert sig == pytest.approx(math.sqrt(4 * (big + 1) * 2 / total**3), rel=1e-15)
+    e, sig = estimate_correlation(CountTable(0, 0, 0, 0, 0, big))
+    assert e == 1.0 and sig == 0.0
+
+
 def test_estimate_correlation_rejects_empty():
     with pytest.raises(EmptyCounts):
         estimate_correlation(CountTable(0, 0, 0, 0, 0, 0))
