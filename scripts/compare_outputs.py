@@ -4,7 +4,8 @@
 The corpus covers ``analyze`` in every format over the named states, Werner
 states, seeded random states of rank 1-4 (some with an eigenvalue just above
 or below the -1e-8 PSD floor) and invalid files, plus ``sweep``, ``table1``,
-``fit`` and ``simulate``.  The input files are written once to a temporary
+``fit`` (on the embedded data, a data file and a counts file) and
+``simulate``.  The input files are written once to a temporary
 directory; each checkout then runs every call through ``bellpair.cli.main``
 in one subprocess, with that checkout's ``src`` first on the path and the
 temporary directory as working directory, so both sides see the same argv.
@@ -47,6 +48,18 @@ NAMED = ("singlet", "triplet0", "phi_plus", "phi_minus", "unpolarized")
 GAMMAS = (0.0, 0.2, 1 / 3, 0.5, 2 ** -0.5, 0.8, 0.9, 0.99, 1.0)
 DATA = "12.3456789, 0.1, 45, 135, 1.9, 0.2\n50, 0, 25, 75, 2.3, 0.3\n90, 0, 45, 135, 2.2, 0.25\n"
 SETTINGS = "0, 45, 22.5, 67.5\n90, 0, 45, 135\n"
+# simulate's counts for a Werner state (gamma = 0.8) at SETTINGS, 1e5 events per pair, seed 5;
+# on rows 1, 3, 4 and 7, 1 - e*e rounds differently from the count quotient 4 N_same N_diff / N^2
+COUNTS = """# format: counts
+0.0, 22.5, 6586, 43281, 43610, 6523
+0.0, 67.5, 17304, 32641, 32622, 17433
+45.0, 22.5, 6547, 43260, 43625, 6568
+45.0, 67.5, 6570, 43476, 43449, 6505
+90.0, 45.0, 10752, 39407, 38961, 10880
+90.0, 135.0, 11089, 39154, 38878, 10879
+0.0, 45.0, 11024, 39384, 38795, 10797
+0.0, 135.0, 39200, 10817, 10695, 39288
+"""
 
 
 def _matrix_doc(m: np.ndarray) -> dict:
@@ -82,11 +95,13 @@ def corpus(tmp: Path) -> list[list[str]]:
     """Writes the input files to ``tmp``; returns the argv of every call, paths relative to it."""
     (tmp / "data.txt").write_text(DATA)
     (tmp / "settings.txt").write_text(SETTINGS)
+    (tmp / "counts.txt").write_text(COUNTS)
     calls = []
     for name, doc in _states(np.random.default_rng(20261020)).items():
         (tmp / name).write_text(json.dumps(doc))
         calls += [["analyze", "--state", name, "--format", fmt] for fmt in FORMATS]
     for command in (["sweep"], ["table1"], ["fit", "--embedded"], ["fit", "--data", "data.txt"],
+                    ["fit", "--data", "counts.txt"],
                     ["simulate", "--state", "werner_6.json", "--settings", "settings.txt", "--events", "1000",
                      "--seed", "1"]):
         calls += [command + ["--format", fmt] for fmt in FORMATS]

@@ -20,8 +20,11 @@ comment lines:
   ``phi1, phi1p, phi2, phi2p`` which expand to their four pairs.
 
 Every file is read as UTF-8, with CRLF and lone CR line breaks read as LF,
-and every number in these formats must be finite.  The text formats share one row loop: a row with the wrong number
-of fields, a number that does not parse, or a value that its model
+after which LF alone ends a line, as in text mode: a form feed, a vertical
+tab, U+2028 or any other character that ``str.splitlines`` would break at
+stays inside its line.  Every number in these formats must be finite.  The
+text formats share one row loop: a row with the wrong number of fields, a
+number that does not parse, or a value that its model
 (``AngleSettings``, ``ChshDatum``, ``CountTable``) rejects is reported with
 its line number.
 """
@@ -117,9 +120,9 @@ def _read_text(path: str | os.PathLike, what: str) -> str:
 
 
 def _rows(text: str, build: Callable[[list[str]], object]) -> list:
-    """``build`` each data line's fields; a ValueError names its line."""
+    """``build`` each data line's fields; a ValueError names its line, counted by LF."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -162,7 +165,7 @@ def load_data(path: str | os.PathLike) -> list[ChshDatum]:
 
 
 def is_counts_text(text: str) -> bool:
-    return any(line.strip() == COUNTS_MARKER for line in text.splitlines())
+    return any(line.strip() == COUNTS_MARKER for line in text.split("\n"))
 
 
 def _parse_counts(text: str) -> list[CountTable]:

@@ -147,15 +147,16 @@ def estimate_correlation(c: CountTable) -> tuple[float, float]:
 
     E = (N++ + N-- - N+- - N-+) / N_total and
     sigma = sqrt((1 - E^2) / N_total); NotFinite if N_total overflows a float.
-    Beyond 2**53 events E can round to +-1 and ``1 - e*e`` to 0, so there
-    1 - E^2 is taken from the counts as 4 (N++ + N--)(N+- + N-+) / N_total^2.
+    1 - E^2 is taken from the counts as 4 (N++ + N--)(N+- + N-+) / N_total^2,
+    one correctly rounded int division: never negative, and free of the
+    rounding of E that ``1 - e*e`` would carry (to 0 once E rounds to +-1).
     """
     total = c.total
     if total <= 0:
         raise EmptyCounts("cannot estimate a correlation from zero events")
     same, diff = c.n_pp + c.n_mm, c.n_pm + c.n_mp
     e = (same - diff) / total
-    one_minus_e2 = max(1.0 - e * e, 0.0) if total <= 2**53 else 4 * same * diff / (total * total)
+    one_minus_e2 = 4 * same * diff / (total * total)
     try:
         sigma = math.sqrt(one_minus_e2 / total)
     except OverflowError:

@@ -96,11 +96,12 @@ def validate(mat) -> DensityMatrix:
     Positivity is certified by :func:`linalg.cholesky_factor`: when all four pivots are
     positive, the matrix is within about 1e-15 of a PSD one, far inside the -1e-8 floor
     of :func:`linalg.check_psd`, so no eigenvalue is computed.  When the factor breaks
-    down (rank-deficient or slightly indefinite input), the Jacobi eigenvalues decide
-    through :func:`linalg.check_psd`.  An accepted state whose truncated factor misses
-    the matrix by more than 1e-8 in some entry (a tiny pivot before an indefinite
-    remainder can leave such a factor) gets the eigenvector factor V sqrt(max(w, 0))
-    of the clamped spectrum instead.
+    down (rank-deficient or slightly indefinite input), one Jacobi run, with the
+    eigenvectors V carried along, gives the eigenvalues w that decide through
+    :func:`linalg.check_psd`.  An accepted state whose truncated factor misses the
+    matrix by more than 1e-8 in some entry (a tiny pivot before an indefinite
+    remainder can leave such a factor) gets the factor V sqrt(max(w, 0)) of the
+    clamped spectrum from that same run instead.
     """
     a = hermitian_lists(mat, 4, complex)
     tr = 0.0  # the real diagonal of the kept matrix, added left to right
@@ -111,13 +112,14 @@ def validate(mat) -> DensityMatrix:
     kept = tuple(map(tuple, a))  # before the rotations overwrite ``a``
     factor, complete = cholesky_factor(a)
     if not complete:
-        check_psd(jacobi_eigenvalues(a))
+        v = [[complex(i == j) for j in range(4)] for i in range(4)]
+        w = jacobi_eigenvalues(a, v)
+        check_psd(w)
         # the truncated factor stays if it reproduces every entry to the 1e-8 that check_psd forgives
         residual = max(abs(kept[i][j] - ordered_sum(x * y.conjugate() for x, y in zip(factor[i], factor[j])))
                        for i in range(4) for j in range(i + 1))
         if residual > -PSD_FLOOR:
-            v = [[complex(i == j) for j in range(4)] for i in range(4)]
-            roots = [math.sqrt(max(0.0, x)) for x in jacobi_eigenvalues([list(row) for row in kept], v)]
+            roots = [math.sqrt(max(0.0, x)) for x in w]
             factor = tuple(tuple(x * r for x, r in zip(row, roots)) for row in v)
     return DensityMatrix(kept, factor)
 

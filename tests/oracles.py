@@ -6,7 +6,8 @@ product instead of diagonalizing a Hermitian form, the other takes a 40-digit
 mpmath SVD of the generator's own factor instead of one rebuilt from a
 floating-point spectrum; the 40-digit eigenvalue, tangle and correlation
 oracles take a float matrix exactly as given to mpmath; and the fit oracle does
-a brute-force grid search instead of using the closed-form minimizer, and
+a brute-force grid search in numpy instead of using the closed-form minimizer
+or ``chi_square``, and
 the sampler oracle draws through ``Generator.integers`` in one piece and
 bins with ``searchsorted`` instead of counting chunks of raw Philox words.
 The Jacobi oracles rotate numpy array slices, or nested lists of Python
@@ -31,7 +32,7 @@ import numpy as np
 
 from bellpair.bell import DEGENERATE_NORM, AnalyzerDirections
 from bellpair.linalg import DEGENERACY_TOL, MAX_SWEEPS, OFFDIAG_TOL, Spectrum
-from bellpair.protocol import angle_to_direction, chi_square
+from bellpair.protocol import angle_to_direction
 from bellpair.states import DensityMatrix, PauliDecomposition, compose, decompose, singlet
 
 _SY = np.array([[0, -1j], [1j, 0]])
@@ -95,14 +96,15 @@ def tangle_mp(mat):
 
 
 def gamma_grid_search(data, step: float = 1e-4) -> tuple[float, float]:
-    """Brute-force minimizer of the weighted chi-square over gamma in [0,1]."""
-    pure = singlet()
-    s_vals = []
-    for d in data:
-        e = [correlation(pure, p1, p2) for p1, p2 in d.settings.pairs()]
-        s_vals.append(abs(e[0] + e[1] + e[2] - e[3]))
+    """Brute-force minimizer of the weighted chi-square over gamma in [0,1], the whole grid
+    at once in numpy: squared residuals added in data order, one float operation per step."""
+    pure = decompose_kron(singlet().mat)[2]
     gammas = np.arange(0.0, 1.0 + step / 2, step)
-    chis = np.array([chi_square(data, [g * s for s in s_vals]) for g in gammas])
+    chis = np.zeros_like(gammas)
+    for d in data:
+        e = [_coplanar_correlation(pure, p1, p2) for p1, p2 in d.settings.pairs()]
+        res = (gammas * abs(e[0] + e[1] + e[2] - e[3]) - d.r_exp) / d.dr_exp
+        chis += res * res
     k = int(np.argmin(chis))
     return float(gammas[k]), float(chis[k])
 
@@ -311,10 +313,13 @@ def bell_mean(rho: DensityMatrix, dirs: AnalyzerDirections) -> float:
     return float(bell_mean_batch(d, dirs.a, dirs.a_prime, dirs.b, dirs.b_prime))
 
 
+def _coplanar_correlation(d: np.ndarray, phi1: float, phi2: float) -> float:
+    return float(np.asarray(angle_to_direction(phi1)) @ d @ np.asarray(angle_to_direction(phi2)))
+
+
 def correlation(rho: DensityMatrix, phi1: float, phi2: float) -> float:
     """Joint spin correlation E(phi1, phi2) = a.(D b) for coplanar angles."""
-    d = decompose_kron(rho.mat)[2]
-    return float(np.asarray(angle_to_direction(phi1)) @ d @ np.asarray(angle_to_direction(phi2)))
+    return _coplanar_correlation(decompose_kron(rho.mat)[2], phi1, phi2)
 
 
 def refine_directions(rho: DensityMatrix, dirs: AnalyzerDirections,

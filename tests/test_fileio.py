@@ -24,7 +24,7 @@ from bellpair.states import TraceNotOne, singlet, unpolarized, werner
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -100,6 +100,49 @@ def test_crlf_data_files_read_as_their_lf_versions(tmp_path, newline):
     for text in (bad, bad.replace("\n", newline)):
         with pytest.raises(FileFormatError, match="^line 3: expected 6 fields, got 5$"):
             load_data(write(tmp_path, "e.txt", text))
+
+
+# characters that str.splitlines breaks at but text mode keeps inside a line
+INLINE_BREAKS = {"U+2028": "\u2028", "U+2029": "\u2029", "U+0085": "\x85", "FF": "\f", "VT": "\v",
+                 "FS": "\x1c", "GS": "\x1d", "RS": "\x1e"}
+TEXT_FORMATS = {  # loader, data rows, and a row its loader rejects for the wrong field count
+    "data": (load_data, "50, 0, 25, 75, 0.67, 2.30\n60 0 30 90 1.21 2.42\n", "60 0 30 90 1.21"),
+    "counts": (load_data, COUNTS_MARKER + "\n" + "".join(
+        f"{a}, {b}, 1, 2, 3, 4\n" for a, b in AngleSettings(0, 90, 45, 135).pairs()), "0, 90, 1, 2, 3"),
+    "settings": (load_settings, "10, 20\n90, 0, 45, 135\n", "1, 2, 3"),
+}
+
+
+def text_mode_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+@pytest.mark.parametrize("fmt", TEXT_FORMATS)
+@pytest.mark.parametrize("char", INLINE_BREAKS.values(), ids=INLINE_BREAKS)
+def test_only_lf_ends_a_line_in_the_text_formats(tmp_path, char, fmt):
+    load, rows, _ = TEXT_FORMATS[fmt]
+    text = f"# measured 2003{char}second comment line\n{rows}"
+    path = write(tmp_path, "a.txt", text)
+    assert len(text_mode_lines(path)) == text.count("\n")
+    assert load(path) == load(write(tmp_path, "b.txt", text.replace(char, " ")))
+
+
+@pytest.mark.parametrize("fmt", TEXT_FORMATS)
+@pytest.mark.parametrize("char", INLINE_BREAKS.values(), ids=INLINE_BREAKS)
+def test_errors_name_the_line_that_text_mode_counts(tmp_path, char, fmt):
+    load, rows, bad = TEXT_FORMATS[fmt]
+    path = write(tmp_path, "a.txt", f"# one{char}two\n{rows}# three{char}four{char}\n{bad}\n")
+    lineno = [line.rstrip("\n") for line in text_mode_lines(path)].index(bad) + 1
+    with pytest.raises(FileFormatError, match=f"^line {lineno}: "):
+        load(path)
+
+
+@pytest.mark.parametrize("char", INLINE_BREAKS.values(), ids=INLINE_BREAKS)
+def test_the_counts_marker_is_found_after_an_inline_break(char):
+    text = f"# seed 7{char}more\n{TEXT_FORMATS['counts'][1]}"
+    assert is_counts_text(text)
+    assert not is_counts_text(f"# seed 7{char}{COUNTS_MARKER}\n")  # one line, not the marker line
 
 
 def test_load_state_unknown_kind(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,21 @@ def test_validate_runs_jacobi_only_when_the_factor_breaks_down(monkeypatch):
         validate(named[name])
         assert calls == [4]
         calls.clear()
+    # a pure state whose truncated factor misses it by more than 1e-8: the one run also gives
+    # the replacement factor, bit for bit that of a separate run with V on a copy
+    rng = np.random.default_rng(68)
+    g = rng.normal(size=4) + 1j * rng.normal(size=4)
+    m = np.outer(g, g.conj())
+    m /= np.trace(m).real
+    a = hermitian_lists(m, 4, complex)
+    truncated, complete = cholesky_factor(a)
+    rho = validate(m)
+    assert calls == [4]
+    assert not complete and rho.factor != truncated
+    v = [[complex(i == j) for j in range(4)] for i in range(4)]
+    w = jacobi_eigenvalues([list(row) for row in a], v)
+    want = tuple(tuple(x * math.sqrt(max(0.0, wk)) for x, wk in zip(row, w)) for row in v)
+    assert repr(rho.factor) == repr(want)
 
 
 def test_degenerate_ordering_is_deterministic():

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellpair.bell import horodecki_max
@@ -127,6 +128,26 @@ def test_estimate_correlation_error_stays_positive_beyond_two_to_the_53():
     assert sig == pytest.approx(math.sqrt(4 * (big + 1) * 2 / total**3), rel=1e-15)
     e, sig = estimate_correlation(CountTable(0, 0, 0, 0, 0, big))
     assert e == 1.0 and sig == 0.0
+
+
+# four counts of up to 2**k each: totals far below 2**53, near it, and beyond it
+COUNT_TABLES = st.sampled_from([3, 20, 51, 52, 54, 80]).flatmap(
+    lambda k: st.tuples(*[st.integers(0, 2**k)] * 4)).filter(any)
+
+
+@settings(max_examples=400, deadline=None)
+@given(counts=COUNT_TABLES)
+@example(counts=(0, 1, 0, 2**53 - 1))  # a total of exactly 2**53
+@example(counts=(1, 0, 0, 2**53))  # one event beyond it
+@example(counts=(1, 1, 1, 2**56 - 3))  # E rounds to 1.0
+def test_estimate_correlation_error_is_the_exact_count_quotient(counts):
+    n_pp, n_pm, n_mp, n_mm = counts
+    same, diff = n_pp + n_mm, n_pm + n_mp
+    total = same + diff
+    e, sig = estimate_correlation(CountTable(0, 0, *counts))
+    assert e == (same - diff) / total
+    assert sig == math.sqrt(float(Fraction(4 * same * diff, total**2)) / total)
+    assert (sig > 0.0) == (same > 0 and diff > 0)
 
 
 def test_estimate_correlation_rejects_empty():
