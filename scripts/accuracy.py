@@ -4,9 +4,12 @@
 The corpus is fixed by its seed: random states of rank 1-4 (a 4 x rank complex
 Gaussian factor g, rho = g g^dag / Tr), Werner states within 0.01 of the two
 thresholds gamma = 1/3 (separability) and 1/sqrt(2) (CHSH), the named states,
-and near-floor states with one eigenvalue in [-1e-8, 0).  Each state goes
-through ``states.validate``; its kept matrix rho is the float matrix every
-oracle starts from.
+near-floor states with one eigenvalue in [-1e-8, 0), and near-degenerate
+T-states (A = P = 0) with D = diag(d1, d2, d2 + delta) in a random axis order,
+d1 and d2 negative and delta within +-[1e-14, 1e-12], so D^T D has a pair of
+eigenvalues closer than the 1e-12 run of the settings tie rule.  Each state
+goes through ``states.validate``; its kept matrix rho is the float matrix
+every oracle starts from.
 
 Per class it reports the median and the largest error of
 
@@ -41,7 +44,7 @@ if _TESTS not in sys.path:
 import bellpair  # noqa: E402
 from bellpair.bell import horodecki_max  # noqa: E402
 from bellpair.linalg import hermitian_lists, jacobi_eigenvalues  # noqa: E402
-from bellpair.states import NAMED_STATES, decompose, validate, werner  # noqa: E402
+from bellpair.states import NAMED_STATES, PauliDecomposition, compose, decompose, validate, werner  # noqa: E402
 from oracles import correlation_mp, eigvalsh_mp, tangle_mp  # noqa: E402
 
 ULP = 2.0 ** -52
@@ -76,6 +79,13 @@ def corpus(per_class: int, seed: int) -> list[tuple[str, object]]:
         neg = -rng.uniform(0.0, 1e-8)
         w = np.concatenate([rng.dirichlet(np.ones(positive)) * (1.0 - neg), [neg], np.zeros(3 - positive)])
         states.append(("near floor", validate((u * w) @ u.conj().T)))
+    # with every d_k < 0, rho is PSD when each |d_j| + |d_k| <= 1 + |d_i|: here |d1| < 1, and |d2| and
+    # |d3| are at most about 0.5 and differ by at most 1e-12
+    for _ in range(per_class):
+        d1, d2 = -rng.uniform(0.05, 0.99), -rng.uniform(0.05, 0.5)
+        delta = rng.choice([-1.0, 1.0]) * rng.uniform(1e-14, 1e-12)
+        d = np.diag(rng.permutation([d1, d2, d2 + delta]))
+        states.append(("near-degenerate", compose(PauliDecomposition(A=(0, 0, 0), P=(0, 0, 0), D=d))))
     return states
 
 

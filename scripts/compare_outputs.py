@@ -2,13 +2,14 @@
 """Run one fixed corpus of ``bellpair`` CLI calls on two checkouts and compare them.
 
 The corpus covers ``analyze`` in every format over the named states, Werner
-states, seeded random states of rank 1-4 (some with an eigenvalue just above
-or below the -1e-8 PSD floor) and invalid files, plus ``sweep``, ``table1``,
-``fit`` (on the embedded data, a data file and a counts file) and
-``simulate``.  The input files are written once to a temporary
-directory; each checkout then runs every call through ``bellpair.cli.main``
-in one subprocess, with that checkout's ``src`` first on the path and the
-temporary directory as working directory, so both sides see the same argv.
+states, a near-degenerate Pauli state, seeded random states of rank 1-4
+(some with an eigenvalue just above or below the -1e-8 PSD floor) and
+invalid files, plus ``sweep``, ``table1``, ``fit`` (on the embedded data, a
+data file and a counts file) and ``simulate``.  The input files are written
+once to a temporary directory; each checkout then runs every call through
+``bellpair.cli.main`` in one subprocess, with that checkout's ``src`` first
+on the path and the temporary directory as working directory, so both sides
+see the same argv.
 
 One line per call says whether the exit code, stderr and stdout match.  For
 JSON and CSV outputs that differ, it also names each key (CSV: column) whose
@@ -69,6 +70,9 @@ def _matrix_doc(m: np.ndarray) -> dict:
 def _states(rng: np.random.Generator) -> dict[str, dict]:
     docs = {f"named_{name}.json": {"kind": "named", "name": name} for name in NAMED}
     docs.update({f"werner_{k}.json": {"kind": "werner", "gamma": g} for k, g in enumerate(GAMMAS)})
+    # D^T D has two eigenvalues 4e-13 apart, inside the 1e-12 run of the settings tie rule
+    docs["near_degenerate.json"] = {"kind": "pauli", "A": [0, 0, 0], "P": [0, 0, 0],
+                                    "D": [[-0.9, 0, 0], [0, -0.5, 0], [0, 0, -0.4999999999996]]}
     for rank in range(1, 5):
         for k in range(6):
             g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))

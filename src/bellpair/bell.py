@@ -23,23 +23,9 @@ from collections import namedtuple
 from .linalg import Spectrum, jacobi_eigenvalues, jacobi_spectrum
 from .states import DensityMatrix, decompose, purity
 
-UNIT_TOL = 1e-10
 DEGENERATE_NORM = 1e-12
+TIE_TOL = 1e-12
 BELL_LIMIT = 2.0
-
-
-class NonUnitDirection(ValueError):
-    """Analyzer direction does not have unit norm to 1e-10."""
-
-
-def _unit3(v, name: str) -> tuple[float, ...]:
-    v = tuple(map(float, v))
-    if len(v) != 3:
-        raise NonUnitDirection(f"direction {name} must have three components")
-    norm = math.sqrt(_dot(v, v))
-    if not abs(norm - 1.0) <= UNIT_TOL:  # also rejects nan
-        raise NonUnitDirection(f"direction {name} has norm {norm:.12g}")
-    return v
 
 
 def _dot(x, y) -> float:
@@ -50,12 +36,9 @@ def _dot(x, y) -> float:
 
 
 class AnalyzerDirections(namedtuple("AnalyzerDirections", "a a_prime b b_prime")):
-    """Unit measurement directions a, a' (first spin) and b, b' (second), as tuples."""
+    """Unit measurement directions a, a' (first spin) and b, b' (second), as tuples of floats."""
 
     __slots__ = ()
-
-    def __new__(cls, a, a_prime, b, b_prime) -> AnalyzerDirections:
-        return super().__new__(cls, *map(_unit3, (a, a_prime, b, b_prime), cls._fields))
 
 
 class BellReport(namedtuple("BellReport", "tangle M max_violation purity optimal")):
@@ -103,11 +86,22 @@ def tangle(rho: DensityMatrix) -> float:
 def _optimal_from_correlation(d: tuple, spec: Spectrum) -> AnalyzerDirections | None:
     """Optimal settings from D and the spectrum of its Gram matrix D^T D.
 
-    None when ``|D c_max| <= 1e-12`` (no preferred settings, e.g. the
-    unpolarized state).  For a degenerate spectrum the eigensolver's
-    deterministic eigenvector order picks one of the optimal settings.
+    None when ``|D c_1| <= 1e-12`` (no preferred settings, e.g. the
+    unpolarized state).  c_1 and c_2 are the first two eigenvectors in the
+    settings order, which makes a degenerate spectrum pick one of its optimal
+    settings deterministically: a run is the eigenvalues within 1e-12 of the
+    run's first one, and the columns of a run longer than one are taken in
+    lexicographic order.
     """
-    c1, c2, _ = zip(*spec.eigenvectors)  # the two leading eigenvectors, as columns
+    w, cols = spec.eigenvalues, list(zip(*spec.eigenvectors))
+    lead, i = [], 0
+    while len(lead) < 2:
+        j = i + 1
+        while j < len(w) and w[i] - w[j] <= TIE_TOL:
+            j += 1
+        lead += cols[i:j] if j == i + 1 else sorted(cols[i:j])
+        i = j
+    c1, c2 = lead[0], lead[1]
     dc1 = [_dot(row, c1) for row in d]
     dc2 = [_dot(row, c2) for row in d]
     n1 = math.sqrt(_dot(dc1, dc1))
@@ -117,10 +111,10 @@ def _optimal_from_correlation(d: tuple, spec: Spectrum) -> AnalyzerDirections | 
     theta = math.atan2(n2, n1)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     return AnalyzerDirections(
-        a=[x / n1 for x in dc1],
-        a_prime=[x / n2 for x in dc2] if n2 > DEGENERATE_NORM else c2,
-        b=[cos_t * x + sin_t * y for x, y in zip(c1, c2)],
-        b_prime=[cos_t * x - sin_t * y for x, y in zip(c1, c2)],
+        a=tuple([x / n1 for x in dc1]),
+        a_prime=tuple([x / n2 for x in dc2]) if n2 > DEGENERATE_NORM else c2,
+        b=tuple([cos_t * x + sin_t * y for x, y in zip(c1, c2)]),
+        b_prime=tuple([cos_t * x - sin_t * y for x, y in zip(c1, c2)]),
     )
 
 

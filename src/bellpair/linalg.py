@@ -5,9 +5,9 @@ Cyclic Jacobi diagonalization for complex Hermitian 4x4 and real symmetric
 Cholesky factorization that certifies positivity without eigenvalues.  No
 LAPACK-backed routine is called, and no numpy: input arrays or nested
 sequences are read once into nested lists of Python scalars (``float`` for
-real input), and the checks, rotations, phase fix, sort and tie-break all
-run on those, so results are rounded as CPython rounds scalars, whatever
-the host's SIMD or BLAS kernels.  Results are tuples.  Only the lower
+real input), and the checks, rotations, phase fix and sort all run on
+those, so results are rounded as CPython rounds scalars, whatever the
+host's SIMD or BLAS kernels.  Results are tuples.  Only the lower
 triangle and the real diagonal are read (LAPACK ``zheev``'s ``UPLO='L'``):
 the working matrix is exactly Hermitian.  Each rotation updates columns p and
 q of the other rows and sets rows p and q to their conjugates, which is
@@ -28,7 +28,6 @@ from collections import namedtuple
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TOL = 1e-12
 MAX_SWEEPS = 100
-DEGENERACY_TOL = 1e-12
 PSD_FLOOR = -1e-8
 MAX_ENTRY_SUM = 1e150
 _HALF_TOL_SQ = OFFDIAG_TOL ** 2 / 2
@@ -56,9 +55,7 @@ class Spectrum(namedtuple("Spectrum", "eigenvalues eigenvectors")):
 
     Both are tuples: ``eigenvectors`` holds rows, and column k,
     ``eigenvectors[i][k]`` for i = 0 .. n-1, belongs to ``eigenvalues[k]``.
-    Eigenvalues closer than 1e-12 are treated as degenerate; inside a
-    degenerate group the columns are ordered lexicographically (after phase
-    fixing) so the output is deterministic.
+    Equal eigenvalues keep the kernel's column order.
     """
 
     __slots__ = ()
@@ -211,18 +208,8 @@ def jacobi_spectrum(a: list[list]) -> Spectrum:
     v = [[0.0] * k + [1.0] + [0.0] * (n - 1 - k) for k in range(n)]
     w = jacobi_eigenvalues(a, v)
     cols = [_fix_phase(col) for col in zip(*v)]
-    order = sorted(range(n), key=w.__getitem__, reverse=True)
-    # break ties inside near-degenerate runs lexicographically
-    final: list[int] = []
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[order[i]] - w[order[j]] <= DEGENERACY_TOL:
-            j += 1
-        final += order[i:j] if j == i + 1 else sorted(
-            order[i:j], key=lambda k: [z for x in cols[k] for z in (x.real, x.imag)])
-        i = j
-    return Spectrum(tuple([w[k] for k in final]), tuple(zip(*[cols[k] for k in final])))
+    order = sorted(range(n), key=w.__getitem__, reverse=True)  # stable: equal values keep column order
+    return Spectrum(tuple([w[k] for k in order]), tuple(zip(*[cols[k] for k in order])))
 
 
 def check_psd(w) -> None:

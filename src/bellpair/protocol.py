@@ -150,6 +150,10 @@ def estimate_correlation(c: CountTable) -> tuple[float, float]:
     1 - E^2 is taken from the counts as 4 (N++ + N--)(N+- + N-+) / N_total^2,
     one correctly rounded int division: never negative, and free of the
     rounding of E that ``1 - e*e`` would carry (to 0 once E rounds to +-1).
+    From N_total = 2^512 on, sigma^2 (as small as about 4 / N_total^2) would
+    leave the normal float range, so N_total is divided by 4^k before the
+    square root and sigma by 2^k after it, with k = bit_length - 512: exact
+    power-of-two scalings that keep sigma positive up to the float range.
     """
     total = c.total
     if total <= 0:
@@ -157,8 +161,9 @@ def estimate_correlation(c: CountTable) -> tuple[float, float]:
     same, diff = c.n_pp + c.n_mm, c.n_pm + c.n_mp
     e = (same - diff) / total
     one_minus_e2 = 4 * same * diff / (total * total)
+    k = max(total.bit_length() - 512, 0)
     try:
-        sigma = math.sqrt(one_minus_e2 / total)
+        sigma = math.ldexp(math.sqrt(one_minus_e2 / math.ldexp(total, -2 * k)), -k)
     except OverflowError:
         raise NotFinite(f"event totals of {total.bit_length()} bits leave the floating-point range") from None
     return e, sigma
@@ -179,7 +184,10 @@ def chsh_datum_from_counts(tables: Sequence[CountTable]) -> ChshDatum:
         raise ValueError("second-analyzer angles do not form a CHSH quadruple")
     settings = AngleSettings(phi1=t11.phi1, phi1p=t21.phi1, phi2=t11.phi2, phi2p=t12.phi2)
     estimates = [estimate_correlation(t) for t in tables]
-    err = math.sqrt(ordered_sum(sig * sig for _, sig in estimates))
+    # errors below 2^-500 add in quadrature scaled up by 2^k, so that their squares stay normal floats
+    k = max(-500 - math.frexp(max(sig for _, sig in estimates))[1], 0)
+    sigmas = [math.ldexp(sig, k) for _, sig in estimates]
+    err = math.ldexp(math.sqrt(ordered_sum(sig * sig for sig in sigmas)), -k)
     return ChshDatum(settings=settings, r_exp=_combination([e for e, _ in estimates]), dr_exp=err)
 
 

@@ -31,7 +31,7 @@ import mpmath
 import numpy as np
 
 from bellpair.bell import DEGENERATE_NORM, AnalyzerDirections
-from bellpair.linalg import DEGENERACY_TOL, MAX_SWEEPS, OFFDIAG_TOL, Spectrum
+from bellpair.linalg import MAX_SWEEPS, OFFDIAG_TOL, Spectrum
 from bellpair.protocol import angle_to_direction
 from bellpair.states import DensityMatrix, PauliDecomposition, compose, decompose, singlet
 
@@ -248,26 +248,10 @@ def _fix_phase(col: np.ndarray) -> np.ndarray:
 
 
 def sorted_spectrum(w: np.ndarray, v: np.ndarray) -> Spectrum:
-    """Phase-fix, sort descending and tie-break unsorted Jacobi output on numpy columns."""
-    n = len(w)
-    cols = [_fix_phase(v[:, k]) for k in range(n)]
-    order = sorted(range(n), key=lambda k: -w[k])
-
-    def lex_key(k: int) -> tuple[float, ...]:
-        c = cols[k]
-        return tuple(x for pair in zip(c.real, c.imag) for x in pair)
-
-    # break ties inside near-degenerate runs deterministically
-    final: list[int] = []
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[order[i]] - w[order[j]] <= DEGENERACY_TOL:
-            j += 1
-        final.extend(sorted(order[i:j], key=lex_key))
-        i = j
-    eigenvalues = np.array([w[k] for k in final])
-    eigenvectors = np.column_stack([cols[k] for k in final])
+    """Phase-fix and sort descending unsorted Jacobi output on numpy columns; equal values keep column order."""
+    order = sorted(range(len(w)), key=lambda k: -w[k])
+    eigenvalues = np.array([w[k] for k in order])
+    eigenvectors = np.column_stack([_fix_phase(v[:, k]) for k in order])
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
@@ -347,7 +331,7 @@ def refine_directions(rho: DensityMatrix, dirs: AnalyzerDirections,
         if new - value < 1e-15:
             break
         value = new
-    return AnalyzerDirections(a=a, a_prime=ap, b=b, b_prime=bp)
+    return AnalyzerDirections(*(tuple(map(float, v)) for v in (a, ap, b, bp)))
 
 
 def _normalized_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:

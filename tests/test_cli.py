@@ -294,7 +294,7 @@ def test_accuracy_script_runs_a_tiny_corpus_within_its_bounds(capsys, monkeypatc
     out = capsys.readouterr().out
     assert exit_info.value.code == 0
     rows = out.splitlines()[2:-1]
-    assert len(rows) == 8 * 7 and not any(row.endswith("OVER") for row in rows)
+    assert len(rows) == 9 * 7 and not any(row.endswith("OVER") for row in rows)
     assert out.endswith("every row within its bound\n")
 
 
@@ -506,6 +506,14 @@ def test_fit_counts_beyond_float_range_exit_4(tmp_path, capsys):
     assert code == 4 and out == "" and "leave the floating-point range" in err
 
 
+def test_fit_counts_whose_errors_square_below_the_float_range_exit_4(tmp_path, capsys):
+    # each dr_exp is about 2**-538: positive, but its square underflows in the fit's weights
+    data = tmp_path / "counts.txt"
+    data.write_text("# format: counts\n" + "".join(f"0, {a}, 1, {2**540}, 0, 0\n" for a in (0, 45, 0, 45)))
+    code, out, err = run(capsys, "fit", "--data", str(data))
+    assert (code, out, err) == (4, "", "error: dr_exp**2 underflows or overflows; rescale the data\n")
+
+
 def test_csv_reads_back_every_float_exactly(tmp_path, capsys):
     data = tmp_path / "data.txt"
     data.write_text("12.3456789, 0.1, 45, 135, 1.9, 0.2\n")
@@ -578,8 +586,8 @@ GOLDEN_DIGESTS = {
     ("analyze --state pauli.json", "json"): "2c552b5f2786dffff73e9b0a3374fa518dd072295f37fb06264fc0162262b446",
     ("analyze --state pauli.json", "csv"): "7695f54f807f1e9ea70efaa77c9bc6eb4a3cd425bc0d5a25ffadb5c761c5d732",
     ("sweep", "table"): "03b3b588e779668641bf5c110dc5fd3936d82d06ca4e7f31744dd01f5519a8b3",
-    ("sweep", "json"): "8b2fdc86f5de04517c494bd1519872a46fa57d5b7bbbe27239e8cf202c296563",
-    ("sweep", "csv"): "2bdf6d1941316d7e1925451c02f26ba1c5e8cbbc42609ee56832322abc64c3f2",
+    ("sweep", "json"): "21d7b7a9029d6b6e4ee4072c150b053d98f3f65bf33703826da442b55f0d6955",
+    ("sweep", "csv"): "45803c4fb421e0768832837fd57f5e629ad0e8cf9a2a18e709d931fb752bda5f",
     ("analyze --state matrix.json", "table"): "912a3b4e7509c024796a657aa1d3769212af13d44c91d0f893ac7430c61908e7",
     ("analyze --state pauli.json", "table"): "93b1baac74ef633ee2f2240342ac902f0a8034b4b1ea7a904021bdb618c55b85",
     ("analyze --state werner.json", "table"): "be0efae9fb3968dab9cccc8183c4cdf814d4c206243916fbf83c041d4318a73b",

@@ -222,12 +222,30 @@ def test_validate_and_sqrt_psd_share_one_psd_rule():
 
 
 def test_psd_rule_reports_the_smaller_of_a_near_degenerate_pair():
-    # the pair is one degenerate run, whose tie-break puts e_3 before e_2, so the
-    # smaller eigenvalue is not last in the spectrum; both must still name it
+    # the pair lies within 1e-12 of each other; both checks must name the smaller one,
+    # which the plainly sorted spectrum lists last
     low, lower = -1.00049999e-8, -1.00050001e-8
     outcomes = _psd_outcomes([0.6, 0.4 - low - lower, low, lower])
     assert outcomes == ["eigenvalue -1.001e-08 below -1e-08"] * 2
-    assert eig_hermitian(np.diag([0.6, 0.4 - low - lower, low, lower])).eigenvalues[-1] == low
+    assert eig_hermitian(np.diag([0.6, 0.4 - low - lower, low, lower])).eigenvalues[-1] == lower
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gap=st.sampled_from([0.0, 1e-16, 1e-14, 4e-13, 1e-12, 2e-12, 1e-6]))
+def test_spectra_are_sorted_descending_with_matching_columns(seed, gap):
+    # a rotated diagonal with a pair gap apart, near and across 1e-12: the spectrum is the kernel's
+    # eigenvalues in non-increasing order, which no tie rule reorders
+    rng = np.random.default_rng(seed)
+    for n, eig, dtype in ((4, eig_hermitian, complex), (3, eig_symmetric3, float)):
+        w = rng.uniform(-1, 1, size=n)
+        w[1] = w[2] + gap
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0.0))
+        m = (q * rng.permutation(w)) @ q.conj().T
+        spec = eig(m)
+        assert spec.eigenvalues == tuple(sorted(jacobi_eigenvalues(hermitian_lists(m, n, dtype)), reverse=True))
+        v = np.asarray(spec.eigenvectors)
+        # each column's residual is at most the off-diagonal norm the sweeps stop at, 1e-12
+        assert np.max(np.abs(mirrored_lower(m) @ v - v * np.asarray(spec.eigenvalues))) <= 2e-12
 
 
 def test_check_psd_takes_eigenvalues_in_any_order():

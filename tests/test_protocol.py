@@ -150,6 +150,38 @@ def test_estimate_correlation_error_is_the_exact_count_quotient(counts):
     assert (sig > 0.0) == (same > 0 and diff > 0)
 
 
+def sqrt_of_quotient(num: int, den: int) -> float:
+    """sqrt(num / den) for positive ints, from an integer square root of about 120 bits."""
+    m = (240 - num.bit_length() + den.bit_length()) // 2
+    return math.ldexp(float(math.isqrt((num << 2 * m) // den if m >= 0 else num // (den << -2 * m))), -m)
+
+
+# sigma^2 = 4 N_same N_diff / N^3, about 4 / N^2 here, is subnormal beyond N = 2**512 and 0 beyond
+# about 2**538, while sigma itself, about 2 / N, is a normal float up to the float range
+@pytest.mark.parametrize("counts", [(3, 3**328, 0, 0), (3, 3**339, 0, 0), (1, 2**540, 0, 0),
+                                    (3, 3**341, 0, 0), (3, 3**631, 0, 0), (2**999, 3, 5, 2**999)],
+                         ids=["~2**520", "~2**538", "2**540+1", "~2**540", "~2**1000", "2**1000+8"])
+def test_estimate_correlation_error_is_the_exact_root_up_to_the_float_range(counts):
+    n_pp, n_pm, n_mp, n_mm = counts
+    same, diff = n_pp + n_mm, n_pm + n_mp
+    _, sig = estimate_correlation(CountTable(0, 0, *counts))
+    want = sqrt_of_quotient(4 * same * diff, (same + diff) ** 3)
+    assert sig > 0.0 and abs(sig - want) <= math.ulp(want)
+
+
+def test_estimate_correlation_refuses_totals_beyond_the_float_range():
+    with pytest.raises(NotFinite):
+        estimate_correlation(CountTable(0, 0, 1, 2**1024, 0, 0))
+
+
+def test_chsh_datum_error_stays_positive_beyond_two_to_the_538():
+    # each pair error is about 2**-539, so its square underflows to 0 unless scaled first
+    tables = [CountTable(phi1, phi2, 1, 2**540, 0, 0) for phi1, phi2 in ((0, 22.5), (0, 67.5), (45, 22.5), (45, 67.5))]
+    datum = chsh_datum_from_counts(tables)
+    want = sqrt_of_quotient(4 * 4 * 2**540, (2**540 + 1) ** 3)  # four equal pair errors
+    assert datum.dr_exp > 0.0 and abs(datum.dr_exp - want) <= 2 * math.ulp(want)
+
+
 def test_estimate_correlation_rejects_empty():
     with pytest.raises(EmptyCounts):
         estimate_correlation(CountTable(0, 0, 0, 0, 0, 0))

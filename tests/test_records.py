@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellpair.bell import AnalyzerDirections, BellReport, NonUnitDirection, horodecki_max
+from bellpair.bell import AnalyzerDirections, BellReport, horodecki_max
 from bellpair.linalg import Spectrum, eig_hermitian
 from bellpair.protocol import AngleSettings, ChshDatum, CountTable, FitResult, NonpositiveError
 from bellpair.simulate import SimConfig, SimConfigError
@@ -96,9 +96,6 @@ def test_checked_records_store_their_coerced_fields():
     table = CountTable(0.0, 0.0, 2.0, np.int64(3), 2**70, 0)
     counts = (table.n_pp, table.n_pm, table.n_mp, table.n_mm)
     assert [type(n) for n in counts] == [int] * 4 and table.total == 5 + 2**70
-    directions = AnalyzerDirections(a=[1, 0, 0], a_prime=np.array(E), b=E, b_prime=E)
-    vectors = (directions.a, directions.a_prime, directions.b, directions.b_prime)
-    assert all(type(v) is tuple and type(v[0]) is float for v in vectors)
     cfg = SimConfig(state=singlet(), settings=[[0, np.float64(22.5)]], events_per_setting=np.int64(10), seed=True)
     assert cfg.settings == ((0.0, 22.5),) and type(cfg.settings[0][0]) is float
     assert type(cfg.events_per_setting) is int and cfg.seed == 1
@@ -138,14 +135,10 @@ INVALID = [
     (ChshDatum, dict(settings=SETTINGS, r_exp=1.0, dr_exp=inf), ValueError, "dr_exp must be finite"),
     (ChshDatum, dict(settings=SETTINGS, r_exp=1.0, dr_exp=0.0), NonpositiveError, "dr_exp must be positive, got 0.0"),
     (ChshDatum, dict(settings=SETTINGS, r_exp=1.0, dr_exp=-1), NonpositiveError, "dr_exp must be positive, got -1"),
-    (AnalyzerDirections, dict(a=(1.0, 0.0), a_prime=E, b=E, b_prime=E),
-     NonUnitDirection, "direction a must have three components"),
-    (AnalyzerDirections, dict(a=E, a_prime=E, b=(2.0, 0.0, 0.0), b_prime=(0.0, 0.0, 0.0)),
-     NonUnitDirection, "direction b has norm 2"),
-    (AnalyzerDirections, dict(a=E, a_prime=E, b=E, b_prime=(nan, 0.0, 0.0)),
-     NonUnitDirection, "direction b_prime has norm nan"),
-    (AnalyzerDirections, dict(a=E, a_prime=E, b=E, b_prime=(1.0 + 1e-9, 0.0, 0.0)),
-     NonUnitDirection, "direction b_prime has norm 1.000000001"),
+    (ChshDatum, dict(settings=SETTINGS, r_exp=-inf, dr_exp=1.0), ValueError, "r_exp must be finite"),
+    (ChshDatum, dict(settings=SETTINGS, r_exp=1.0, dr_exp=nan), ValueError, "dr_exp must be finite"),
+    (ChshDatum, dict(settings=SETTINGS, r_exp=inf, dr_exp=-1.0), ValueError, "r_exp must be finite"),
+    (ChshDatum, dict(settings=SETTINGS, r_exp=1.0, dr_exp=-0.0), NonpositiveError, "dr_exp must be positive, got -0.0"),
     (SimConfig, dict(state=None, settings=((0.0, 1.0),), events_per_setting=0, seed=1),
      SimConfigError, "events_per_setting must be >= 1"),
     (SimConfig, dict(state=None, settings=((0.0, 1.0),), events_per_setting=1.5, seed=-1),
