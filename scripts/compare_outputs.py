@@ -5,7 +5,8 @@ The corpus covers ``analyze`` in every format over the named states, Werner
 states, a near-degenerate Pauli state, seeded random states of rank 1-4
 (some with an eigenvalue just above or below the -1e-8 PSD floor) and
 invalid files, plus ``sweep``, ``table1``, ``fit`` (on the embedded data, a
-data file and a counts file) and ``simulate``.  The input files are written
+data file and a counts file), ``simulate``, and help, version and usage
+errors on each route through the argument parsers.  The input files are written
 once to a temporary directory; each checkout then runs every call through
 ``bellpair.cli.main`` in one subprocess, with that checkout's ``src`` first
 on the path and the temporary directory as working directory, so both sides
@@ -61,6 +62,14 @@ COUNTS = """# format: counts
 0.0, 45.0, 11024, 39384, 38795, 10797
 0.0, 135.0, 39200, 10817, 10695, 39288
 """
+# Help, version and usage errors: a missing, unknown or misplaced argument
+# in front of, inside and after a command's own arguments.
+PARSE_ROUTES = [
+    [], ["--help"], ["--version"], ["bogus"], ["analyze", "--help"], ["analyze", "--state"],
+    ["analyze", "--state", "named_singlet.json", "--bogus"], ["analyze", "--state", "named_singlet.json", "extra"],
+    ["analyze", "--state", "named_singlet.json", "--=x"], ["sweep", "--step", "abc"], ["fit"],
+    ["--format", "json", "analyze", "--state", "named_singlet.json"], ["analyze", "--", "--state", "named_singlet.json"],
+]
 
 
 def _matrix_doc(m: np.ndarray) -> dict:
@@ -109,7 +118,7 @@ def corpus(tmp: Path) -> list[list[str]]:
                     ["simulate", "--state", "werner_6.json", "--settings", "settings.txt", "--events", "1000",
                      "--seed", "1"]):
         calls += [command + ["--format", fmt] for fmt in FORMATS]
-    return calls
+    return calls + PARSE_ROUTES
 
 
 def run(checkout: Path, tmp: Path, calls: list[list[str]]) -> list[list]:
@@ -182,11 +191,12 @@ def main() -> int:
         same = [code_a == code_b, err_a == err_b, out_a == out_b]
         line = " ".join(f"{part}={'same' if ok else 'DIFF'}" for part, ok in zip(("exit", "stderr", "stdout"), same))
         if not same[2] and code_a == code_b == 0:
-            diffs = key_differences(argv[argv.index("--format") + 1], out_a, out_b)
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+            diffs = key_differences(fmt, out_a, out_b)
             line += " " + ", ".join(f"{k}:{'non-numeric' if d is None else f'{d:.2e}'}" for k, d in diffs.items())
             keys.update(diffs)
         mismatches += not all(same)
-        print(f"{' '.join(argv)}: {line}")
+        print(f"{' '.join(argv) or '(no arguments)'}: {line}")
     print(f"{len(calls)} calls, {len(calls) - mismatches} identical, {mismatches} differ;"
           f" keys that differ: {', '.join(sorted(keys)) or 'none'}")
     return 0 if mismatches == 0 else 1

@@ -4,7 +4,9 @@ Subcommands: ``analyze`` (metrics of one state), ``sweep`` (Werner family
 versus gamma), ``table1`` (reference-table reproduction), ``fit`` (gamma
 fit to CHSH data) and ``simulate`` (seeded coincidence counts).  Output is
 an aligned table by default, or ``--format json``/``--format csv`` for
-machine-readable documents that embed a run manifest.
+machine-readable documents that embed a run manifest.  ``--format`` and
+``--out`` belong to each subcommand and follow its name:
+``bellpair analyze --state s.json --format json``.
 
 Exit codes: 0 success (help and version too), 2 usage, input parse or
 ``--out`` write error, 3 invalid state, 4 empty or degenerate data.
@@ -388,12 +390,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_simulate)
+    parser.commands = sub.choices  # each subcommand's parser by name
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        # The top-level pass would hand argv[1:] to the command's parser as it
+        # is; it also rejects a "--=" token as ambiguous (--help or --version).
+        if command is None or any(a.startswith("--=") for a in argv):
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
     except SystemExit as exc:  # argparse has printed the usage error, help or version
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:

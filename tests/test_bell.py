@@ -154,17 +154,16 @@ def test_optimal_directions_are_unit_and_attain_the_maximum():
 
 def test_random_search_never_beats_bound_and_optimum_attains_it():
     rng = np.random.default_rng(20240811)
-    quadruples = (
-        random_unit3(rng, 100_000),
-        random_unit3(rng, 100_000),
-        random_unit3(rng, 100_000),
-        random_unit3(rng, 100_000),
-    )
+    a, a_prime, b, b_prime = (random_unit3(rng, 100_000) for _ in range(4))
+    # The CHSH mean a.D(b+b') + a'.D(b-b') is vec(D) . (a (x) (b+b') + a' (x) (b-b')):
+    # one fixed 1e5 x 9 matrix for the same quadruples, times vec(D) per state.
+    quadruples = (np.einsum("ni,nj->nij", a, b + b_prime)
+                  + np.einsum("ni,nj->nij", a_prime, b - b_prime)).reshape(-1, 9)
     for _ in range(1000):
         rho = random_density_matrix(rng)
         d = decompose(rho).D
         report = horodecki_max(rho)
-        best = float(np.max(np.abs(bell_mean_batch(d, *quadruples))))
+        best = float(np.max(np.abs(quadruples @ np.ravel(d))))
         assert best <= report.max_violation + 1e-9
         assert abs(bell_mean(rho, report.optimal)) == pytest.approx(
             report.max_violation, abs=1e-8

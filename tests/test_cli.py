@@ -906,6 +906,15 @@ def test_both_module_entry_points_print_the_version():
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"bellpair {__version__}\n", "")
 
 
+@pytest.mark.parametrize("extra, code", [(["--format", "json"], 0), (["--bogus"], 2)])
+def test_the_module_entry_point_reads_sys_argv_as_main_reads_a_list(tmp_path, extra, code):
+    argv = ["analyze", "--state", state_file(tmp_path, {"kind": "werner", "gamma": 0.8}), *extra]
+    proc = subprocess.run([sys.executable, "-m", "bellpair", *argv], env=_package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _call(argv)
+    assert proc.returncode == code
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--step", "abc"], ["fit"], ["bogus"], [],
                                   ["simulate", "--events", "1e3"], ["analyze", "--state"]])
 def test_usage_errors_return_2_with_argparse_text(capsys, argv):

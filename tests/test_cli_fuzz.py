@@ -8,19 +8,23 @@ expected.  The argument vectors mix subcommands and option names with
 values that are non-numeric, huge, negative, repeated or missing, and
 input and ``--out`` paths that cannot be opened, one with a NUL byte among
 them.  ``cli.main`` runs in-process, so any exception that escapes it fails
-the test with its traceback.
+the test with its traceback.  A differential test checks that ``cli.main``
+parses any argument vector as the top-level parser's own ``parse_args`` does.
 """
+import argparse
 import contextlib
 import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bellpair import cli
 from bellpair.cli import main
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
@@ -265,3 +269,65 @@ def test_any_argv_exits_documented(argv_dir, argv):
     assert "Traceback" not in err
     if code != 0:
         assert out == "" and "error: " in err, (argv, err)
+
+
+# Tokens for the differential parse test: every command, option values that
+# convert and that do not, abbreviations, unknown options, help, version,
+# "--", an empty token and "--=x", which the top-level pass rejects as an
+# ambiguous abbreviation of --help and --version.  STATE stands for a valid
+# state file.
+PARSE_TOKENS = ["analyze", "sweep", "table1", "fit", "simulate", "bogus",
+                "--format", "json", "csv", "table", "xml",
+                "--out", "--state", "--data", "--embedded", "--min", "--step", "0.5", "abc",
+                "--bogus", "--form", "--s", "-h", "--help", "--version", "--", "", "--=x", "STATE"]
+
+
+def parse_reference(parser, argv: list[str]):
+    """The top-level parser's own ``parse_args``: (namespace or None, exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.lists(st.sampled_from(PARSE_TOKENS), max_size=7))
+def test_main_parses_any_argv_as_the_top_level_parser_does(argv_dir, argv):
+    argv = [str(argv_dir / "state.json") if a == "STATE" else a for a in argv]
+    # A fresh parser whose commands record the namespace they get, so that no
+    # command runs and no --out file is written.
+    parser = cli._build_parser.__wrapped__()
+    seen = []
+
+    def record(args):
+        seen.append(vars(args).copy())
+        args.out = None
+        return ""
+
+    for command_parser in parser.commands.values():
+        command_parser.set_defaults(func=record)
+    expected, code, out, err = parse_reference(parser, argv)
+    with mock.patch.object(cli, "_build_parser", lambda: parser):
+        result = run_cli(argv)
+    if expected is None:  # a usage error, help or the version
+        assert result == (0 if code == 0 else 2, out, err)
+        assert not seen
+    else:  # main's namespace lacks only the command's name, which no command reads
+        assert result == (0, "", "")
+        assert seen == [{k: v for k, v in vars(expected).items() if k != "command"}]
+
+
+def test_an_analyze_call_is_parsed_once(argv_dir, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, out, _ = run_cli(["analyze", "--state", str(argv_dir / "state.json"), "--format", "json"])
+    assert code == 0 and json.loads(out)["manifest"]["command"] == "analyze"
+    assert calls == ["bellpair analyze"]
